@@ -31,20 +31,6 @@ from repro.structures.indexed_heap import IndexedMinHeap
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.tracer import Tracer
 
-#: Batches below this size stay on the scalar heap loop under
-#: ``kernel="auto"`` — NumPy setup overhead only pays off past it.
-VECTOR_MIN_TASKS = 64
-
-
-def _use_vector(kernel: str, n_tasks: int) -> bool:
-    if kernel == "scalar":
-        return False
-    if kernel == "vector":
-        return True
-    if kernel == "auto":
-        return n_tasks >= VECTOR_MIN_TASKS
-    raise ValueError(f"unknown kernel {kernel!r} (expected auto/scalar/vector)")
-
 
 class WorkloadBasedGreedy:
     """Algorithm 3 for a fixed (possibly heterogeneous) platform.
@@ -59,10 +45,7 @@ class WorkloadBasedGreedy:
     The per-core dominating ranges come from the process-wide
     Algorithm 1 memo (Lemma 1: they do not depend on the workload), so
     repeated scheduler constructions over the same platform/pricing —
-    sweeps, the online rerun baseline, the bench harness — share both
-    the ranges and their vectorized positional-cost prefixes. Pass
-    ``use_cache=False`` to force a fresh Algorithm 1 run per core (the
-    cache-correctness tests diff the two).
+    sweeps, the online rerun baseline — share them.
 
     ``tracer`` (see :mod:`repro.obs.tracer`) records one
     ``ranges.build`` event per core at construction and one
@@ -72,7 +55,7 @@ class WorkloadBasedGreedy:
     obs differential tests pin this).
     """
 
-    def __init__(self, models: Sequence[CostModel], use_cache: bool = True,
+    def __init__(self, models: Sequence[CostModel],
                  tracer: "Optional[Tracer]" = None) -> None:
         if not models:
             raise ValueError("at least one core is required")
@@ -81,8 +64,7 @@ class WorkloadBasedGreedy:
             if m.re != re or m.rt != rt:
                 raise ValueError("all cores must share the same Re and Rt")
         self.models = list(models)
-        make = DominatingRanges.cached if use_cache else DominatingRanges.from_cost_model
-        self.ranges = [make(m) for m in models]
+        self.ranges = [DominatingRanges.cached(m) for m in models]
         self._tracer = tracer
         if tracer is not None:
             from repro.obs.events import ranges_event_data
@@ -98,34 +80,14 @@ class WorkloadBasedGreedy:
         """``C*_j(k)`` — core ``core``'s optimal cost for backward slot ``kb``."""
         return self.ranges[core].cost(kb)
 
-    def schedule(self, tasks: Iterable[Task], kernel: str = "auto") -> list[CoreSchedule]:
+    def schedule(self, tasks: Iterable[Task]) -> list[CoreSchedule]:
         """Assign every task a core, a queue slot, and a rate.
 
         Returns one :class:`CoreSchedule` per core, in execution order
-        (shortest assigned task first).
-
-        ``kernel`` selects the implementation: ``"scalar"`` is the
-        per-task heap loop of Algorithm 3 (``O(n log n + n log R)``,
-        the readable specification); ``"vector"`` replaces the loop
-        with one NumPy merge over the memoized positional-cost prefixes
-        (:func:`repro.models.vectorized.wbg_slot_sequence`), which is
-        several times faster past a few hundred tasks; ``"auto"``
-        (default) picks by batch size. The two produce **bit-identical**
-        plans — same cores, slots, and rates — enforced by the
-        ``wbg_kernel`` differential fuzz check.
-
-        An attached tracer forces the scalar path (the per-decision
-        events *are* the heap pops; the vector merge makes the same
-        decisions in one shot) — harmless for the result, since the
-        kernels are bit-identical.
+        (shortest assigned task first). The per-task heap loop of
+        Algorithm 3, ``O(n log n + n log R)``.
         """
         by_weight = sorted(tasks, key=lambda t: (-t.cycles, t.task_id))  # heaviest first
-        if self._tracer is None and _use_vector(kernel, len(by_weight)):
-            return self._schedule_vector(by_weight)
-        return self._schedule_scalar(by_weight, kernel=kernel)
-
-    def _schedule_scalar(self, by_weight: Sequence[Task],
-                         kernel: str = "scalar") -> list[CoreSchedule]:
         tracer = self._tracer
         heap = IndexedMinHeap()
         next_slot = [1] * self.n_cores
@@ -133,9 +95,7 @@ class WorkloadBasedGreedy:
             heap.push(j, self.positional_cost(j, 1), tiebreak=j)
 
         if tracer is not None:
-            tracer.emit("wbg.schedule", {
-                "n_tasks": len(by_weight), "n_cores": self.n_cores, "kernel": kernel,
-            })
+            tracer.emit("wbg.schedule", {"n_tasks": len(by_weight), "n_cores": self.n_cores})
 
         # per-core placements built back-to-front: slot k is the k-th from the end
         backward: list[list[Placement]] = [[] for _ in range(self.n_cores)]
@@ -163,18 +123,6 @@ class WorkloadBasedGreedy:
             CoreSchedule(reversed(backward[j]), core_index=j) for j in range(self.n_cores)
         ]
 
-    def _schedule_vector(self, by_weight: Sequence[Task]) -> list[CoreSchedule]:
-        from repro.models.vectorized import wbg_slot_sequence
-
-        backward: list[list[Placement]] = [[] for _ in range(self.n_cores)]
-        if by_weight:
-            cores, rates = wbg_slot_sequence(self.ranges, len(by_weight))
-            for task, j, rate in zip(by_weight, cores.tolist(), rates.tolist()):
-                backward[j].append(Placement(task=task, rate=rate))
-        return [
-            CoreSchedule(reversed(backward[j]), core_index=j) for j in range(self.n_cores)
-        ]
-
     def schedule_cost(self, schedules: Sequence[CoreSchedule]) -> ScheduleCost:
         """Evaluate a multi-core schedule with each core's own model."""
         total: Optional[ScheduleCost] = None
@@ -184,20 +132,9 @@ class WorkloadBasedGreedy:
         assert total is not None
         return total
 
-    def optimal_cost(self, tasks: Iterable[Task], kernel: str = "auto") -> float:
-        """``Σ C*·L`` of the greedy assignment, without materialising schedules.
-
-        Same ``kernel`` contract as :meth:`schedule`; the vector path
-        pairs the merged positional costs with descending cycle counts
-        in one dot product (summation order differs from the scalar
-        running sum, so totals agree to float tolerance, not bitwise —
-        the *plan* kernels are the bit-identical ones).
-        """
+    def optimal_cost(self, tasks: Iterable[Task]) -> float:
+        """``Σ C*·L`` of the greedy assignment, without materialising schedules."""
         by_weight = sorted((t.cycles for t in tasks), reverse=True)
-        if _use_vector(kernel, len(by_weight)):
-            from repro.models.vectorized import wbg_optimal_cost
-
-            return wbg_optimal_cost(self.ranges, by_weight)
         heap = IndexedMinHeap()
         next_slot = [1] * self.n_cores
         for j in range(self.n_cores):

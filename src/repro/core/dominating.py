@@ -24,8 +24,8 @@ backward positions. Ties at an exact integer crossover go to the
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -161,13 +161,12 @@ class DominatingRanges:
         Lemma 1 makes the ranges a pure function of the rate menu and
         the pricing, so every scheduler component that shares a
         ``(P, E, T, Re, Rt)`` tuple — each WBG core, each LMC queue
-        index, every dynamic-churn probe — can share one instance.
-        Sharing is also what makes the per-``n`` vectorized cost tables
-        (:func:`repro.models.vectorized.positional_cost_prefix`)
-        amortise across callers. Use :func:`invalidate_dominating_cache`
-        to drop entries explicitly.
+        index — can share one instance. The memo is keyed on
+        :func:`ranges_key` (``CostModel`` hashes by identity).
         """
-        return _RANGES_CACHE.get(model)
+        key = _ModelKey(ranges_key(model))
+        key.model = model
+        return _ranges_memo(key)
 
     # -- queries -------------------------------------------------------------------
     @property
@@ -209,82 +208,28 @@ class DominatingRanges:
         return f"DominatingRanges({parts})"
 
 
-class _RangesCache:
-    """Bounded LRU memo of :class:`DominatingRanges` by :func:`ranges_key`.
+class _ModelKey(RangesKey):
+    """A :func:`ranges_key` value that also carries its model to a memo miss."""
 
-    Bounded because the differential fuzzer constructs thousands of
-    one-shot random rate tables per run; real workloads use a handful of
-    keys, so an LRU of a few hundred never evicts in production paths.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: OrderedDict[RangesKey, DominatingRanges] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, model: CostModel) -> DominatingRanges:
-        key = ranges_key(model)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry
-        self.misses += 1
-        entry = DominatingRanges.from_cost_model(model)
-        self._entries[key] = entry
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return entry
-
-    def invalidate(self, model: Optional[CostModel] = None) -> int:
-        """Drop one entry (or all with ``model=None``); returns the count dropped."""
-        if model is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-        else:
-            dropped = 1 if self._entries.pop(ranges_key(model), None) is not None else 0
-        self.invalidations += dropped
-        return dropped
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
+    model: CostModel
 
 
-#: The process-wide memo behind :meth:`DominatingRanges.cached`.
-_RANGES_CACHE = _RangesCache()
-
-
-def invalidate_dominating_cache(model: Optional[CostModel] = None) -> int:
-    """Explicit invalidation hook for the Algorithm 1 memo.
-
-    With ``model`` drops that one entry; with ``None`` flushes
-    everything. Returns how many entries were dropped. Callers that
-    mutate a rate menu in place (none in-tree — :class:`RateTable` is
-    frozen — but extensions may) must call this before the next
-    :meth:`DominatingRanges.cached` lookup.
-    """
-    return _RANGES_CACHE.invalidate(model)
+@functools.lru_cache(maxsize=256)
+def _ranges_memo(key: _ModelKey) -> DominatingRanges:
+    # looked up on the class at each miss, so a wrapped
+    # ``from_cost_model`` sees every build
+    return DominatingRanges.from_cost_model(key.model)
 
 
 def dominating_cache_stats() -> dict[str, int]:
-    """Hit/miss/eviction counters of the Algorithm 1 memo (``repro bench`` reads these)."""
-    return _RANGES_CACHE.stats()
+    """Hit/miss counters and size of the Algorithm 1 memo."""
+    info = _ranges_memo.cache_info()
+    return {
+        "hits": info.hits,
+        "misses": info.misses,
+        "entries": info.currsize,
+        "capacity": info.maxsize or 0,
+    }
 
 
 def _integer_crossover(

@@ -59,11 +59,9 @@ class DynamicCostIndex:
     cancellation), and :attr:`total_cost` is Equation 32, maintained
     incrementally.
 
-    ``tracer`` records ``dynamic.insert`` / ``dynamic.delete`` events
-    for real mutations and a ``dynamic.probe`` event per marginal-cost
-    probe (probe-internal insert/delete pairs are *not* traced — they
-    are an implementation detail that nets out to nothing). ``label``
-    names this queue in those events (e.g. ``"core2"``).
+    ``tracer`` records a ``dynamic.insert`` / ``dynamic.delete`` event
+    per mutation and a ``dynamic.probe`` event per marginal-cost probe.
+    ``label`` names this queue in those events (e.g. ``"core2"``).
     """
 
     def __init__(self, model: CostModel, ranges: Optional[DominatingRanges] = None,
@@ -75,15 +73,8 @@ class DynamicCostIndex:
         self._tracer = tracer
         self.label = label
 
-        # Marginal-probe memo: LMC probes every core on every arrival, so
-        # repeated cycle counts (judge traces repeat per-problem costs) hit
-        # the same queue state again and again. Keyed by cycles, valid only
-        # for the current queue version; insert/delete invalidate it.
-        self._probe_memo: dict[float, float] = {}
-        self._version = 0
-        self._probing = False
         #: Deterministic ops counters (read by ``repro bench``).
-        self.counters = {"inserts": 0, "deletes": 0, "probes": 0, "probe_memo_hits": 0}
+        self.counters = {"inserts": 0, "deletes": 0, "probes": 0}
 
         # Algorithm 4: per-dominating-range bookkeeping.
         n_ranges = len(self.ranges)
@@ -128,59 +119,51 @@ class DynamicCostIndex:
         return self.tree.max_node()
 
     def marginal_insert_cost(self, cycles: float) -> float:
-        """Cost increase if a task of ``cycles`` were inserted, without
-        (observably) mutating the index. ``O(|P̂| + log N)``.
+        """Cost increase if a task of ``cycles`` were inserted.
+        Read-only, ``O(|P̂| + log N)``.
 
         LMC's core-selection step calls this once per core per
-        non-interactive arrival. Implemented as insert → read → delete,
-        then restoring the pre-probe aggregates verbatim: the delete
-        reverses the insert only up to float rounding, and when the
-        probed value dwarfs the resident queue (say 1e6 cycles against a
-        0.001-cycle task) the absorption residue left in ``x``/``d`` is
-        ulp-of-the-probe sized — far above any fixed tolerance — and
-        would otherwise accumulate across probes.
+        non-interactive arrival. The result is the difference of
+        Equation 32 across the insert, read off the Algorithm 4
+        aggregates without touching them:
 
-        Results are memoized per ``cycles`` until the next real
-        :meth:`insert` / :meth:`delete` (a probe leaves the queue state
-        unchanged, so it neither invalidates nor is invalidated). The
-        memo returns the previously computed float verbatim, so the hit
-        path is bit-identical to recomputing.
+        * the newcomer takes backward position ``kb`` (after every equal
+          value, as :meth:`insert` places it) and costs ``CB*(kb)·L``;
+        * every task behind it moves one position later, which costs
+          ``Rt·T(p̂_j)`` per cycle in range ``j``: ``ξ([kb, b_i])`` in
+          the range holding ``kb`` and ``x_j`` in each later range;
+        * each full range hands its last task ``β_j`` to the next range
+          (the Algorithm 5 cascade), where it changes rate.
         """
+        if cycles <= 0:
+            raise ValueError("cycles must be positive")
         self.counters["probes"] += 1
-        memo = self._probe_memo
-        cached = memo.get(cycles)
-        if cached is not None:
-            self.counters["probe_memo_hits"] += 1
-            if self._tracer is not None:
-                self._trace_probe(cycles, cached, memo_hit=True)
-            return cached
-        n_before = len(self.tree)
-        snap = (self._b[:], self._alpha[:], self._beta[:],
-                self._x[:], self._d[:], self._cost)
-        self._probing = True
-        try:
-            node = self.insert(cycles)
-            after = self._cost
-            self.delete(node)
-        finally:
-            self._probing = False
-        if len(self.tree) != n_before:
-            raise AssertionError("marginal cost probe failed to restore state")
-        self._b, self._alpha, self._beta, self._x, self._d, self._cost = (
-            snap[0], snap[1], snap[2], snap[3], snap[4], snap[5]
-        )
-        result = after - snap[5]
-        memo[cycles] = result
+        kb = self.tree.count_at_least(cycles) + 1
+        i = self.ranges.range_index_for(kb)
+        ree, rtt, a, b, hi = self._ree, self._rtt, self._a, self._b, self._hi
+        marginal = (ree[i] + kb * rtt[i]) * cycles
+        shifted = self.tree.range_sum(kb, b[i])
+        for j in range(i, len(a)):
+            if j > i:
+                if a[j] > b[j]:
+                    break  # this range and every later one are empty
+                shifted = self._x[j]
+            marginal += rtt[j] * shifted
+            edge = hi[j]
+            if edge is not None and b[j] == edge - 1 and b[j] >= kb:
+                beta = self._beta[j]
+                assert beta is not None
+                # β_j moves from position edge-1 of range j to position
+                # edge of range j+1: the shift above priced it at range
+                # j's rate, so add the difference of the two rates there
+                marginal += ((ree[j + 1] + edge * rtt[j + 1])
+                             - (ree[j] + edge * rtt[j])) * beta.value
         if self._tracer is not None:
-            self._trace_probe(cycles, result, memo_hit=False)
-        return result
-
-    def _trace_probe(self, cycles: float, marginal: float, memo_hit: bool) -> None:
-        data = {"cycles": cycles, "marginal": marginal, "memo_hit": memo_hit}
-        if self.label:
-            data["queue"] = self.label
-        assert self._tracer is not None
-        self._tracer.emit("dynamic.probe", data)
+            data: dict[str, Any] = {"cycles": cycles, "marginal": marginal}
+            if self.label:
+                data["queue"] = self.label
+            self._tracer.emit("dynamic.probe", data)
+        return marginal
 
     def _trace_mutation(self, kind: str, cycles: float, kb: int,
                         payload: Any, data: dict) -> None:
@@ -194,32 +177,12 @@ class DynamicCostIndex:
         assert self._tracer is not None
         self._tracer.emit(kind, data)
 
-    def invalidate_probe_memo(self) -> None:
-        """Invalidation hook: drop memoized marginals and bump the queue version.
-
-        Called by every real :meth:`insert` / :meth:`delete` (Algorithms
-        5-6). Exposed publicly for subclasses that mutate state through
-        other paths; forgetting to call it serves stale marginals — the
-        invalidation-miss regression test pins that failure mode.
-        """
-        self._version += 1
-        self._probe_memo.clear()
-
-    @property
-    def version(self) -> int:
-        """Monotone mutation counter (probes excluded); memo validity token."""
-        return self._version
-
     # -- Algorithm 5: insert ----------------------------------------------------------
     def insert(self, cycles: float, payload: Any = None) -> RangeTreeNode:
         """Insert a task; returns its node handle. ``O(|P̂| + log N)``."""
         if cycles <= 0:
             raise ValueError("cycles must be positive")
-        if not self._probing:
-            # a probe's paired insert/delete nets out to no state change,
-            # so it must not flush memoized marginals for other cycles
-            self.invalidate_probe_memo()
-            self.counters["inserts"] += 1
+        self.counters["inserts"] += 1
         ptr = self.tree.insert(cycles, payload)
         kb = self.tree.rank(ptr)
         i = self.ranges.range_index_for(kb)
@@ -258,7 +221,7 @@ class DynamicCostIndex:
             self._d[i] += self._x[i]
 
         self._recompute_cost()
-        if self._tracer is not None and not self._probing:
+        if self._tracer is not None:
             self._trace_mutation(
                 "dynamic.insert", cycles, kb, payload,
                 {"rate": self.ranges.rate_for(kb)},
@@ -268,9 +231,7 @@ class DynamicCostIndex:
     # -- Algorithm 6: delete ----------------------------------------------------------
     def delete(self, ptr: RangeTreeNode) -> None:
         """Remove a task by handle. ``O(|P̂| + log N)``."""
-        if not self._probing:
-            self.invalidate_probe_memo()
-            self.counters["deletes"] += 1
+        self.counters["deletes"] += 1
         kb = self.tree.rank(ptr)
         deleted_cycles, deleted_payload = ptr.value, ptr.payload
         # i ← last non-empty range
@@ -333,7 +294,7 @@ class DynamicCostIndex:
                 self._x[j] = self.tree.range_sum(self._a[j], self._b[j])
                 self._d[j] = self.tree.range_delta(self._a[j], self._b[j])
         self._recompute_cost()
-        if self._tracer is not None and not self._probing:
+        if self._tracer is not None:
             self._trace_mutation("dynamic.delete", deleted_cycles, kb, deleted_payload, {})
 
     # -- internals ---------------------------------------------------------------------

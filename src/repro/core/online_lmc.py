@@ -79,16 +79,6 @@ class LeastMarginalCostPolicy:
             DynamicCostIndex(m, r, seed=seed + j, tracer=tracer, label=f"core{j}")
             for j, (m, r) in enumerate(zip(models, self.ranges))
         ]
-        # Equation 27 inputs at each core's maximum frequency,
-        # precomputed once for the batched kernel.
-        import numpy as np
-
-        self._pm_energy = np.array(
-            [m.table.energy(m.table.max_rate) for m in models], dtype=np.float64
-        )
-        self._pm_time = np.array(
-            [m.table.time(m.table.max_rate) for m in models], dtype=np.float64
-        )
 
     @property
     def n_cores(self) -> int:
@@ -108,26 +98,14 @@ class LeastMarginalCostPolicy:
         """
         if len(delayed_counts) != self.n_cores:
             raise ValueError("delayed_counts must have one entry per core")
-        import numpy as np
-
-        from repro.models.vectorized import interactive_marginal_batch
-
-        # One kernel call instead of a per-core scalar loop. The kernel
-        # replays ``CostModel.interactive_marginal_cost`` term by term
-        # and ``argmin`` returns the first minimum, so the chosen core is
-        # bit-identical to the strict-``<`` loop it replaces.
-        costs = interactive_marginal_batch(
-            self.models[0].re,
-            self.models[0].rt,
-            cycles,
-            self._pm_energy,
-            self._pm_time,
-            np.asarray(delayed_counts, dtype=np.float64),
-        )
-        chosen = int(costs.argmin())
+        costs = [
+            m.interactive_marginal_cost(cycles, n)
+            for m, n in zip(self.models, delayed_counts)
+        ]
+        chosen = min(range(self.n_cores), key=costs.__getitem__)  # first minimum
         if self._tracer is not None:
             data = {
-                "cycles": cycles, "costs": costs.tolist(), "chosen": chosen,
+                "cycles": cycles, "costs": costs, "chosen": chosen,
                 "delayed": list(delayed_counts),
             }
             self._annotate_task(data, task)
@@ -173,8 +151,7 @@ class LeastMarginalCostPolicy:
         Each entry is what :meth:`choose_core_noninteractive` compares:
         the Equation 32 increase from
         :meth:`~repro.core.dynamic.DynamicCostIndex.marginal_insert_cost`
-        (memoized per cycle count between queue mutations) plus the
-        optional ``Rt × head_delay`` term.
+        plus the optional ``Rt × head_delay`` term.
         """
         if head_delays is not None and len(head_delays) != self.n_cores:
             raise ValueError("head_delays must have one entry per core")
@@ -186,7 +163,7 @@ class LeastMarginalCostPolicy:
 
     def probe_counters(self) -> dict[str, int]:
         """Aggregate the per-core queue counters (bench ops accounting)."""
-        total = {"inserts": 0, "deletes": 0, "probes": 0, "probe_memo_hits": 0}
+        total = {"inserts": 0, "deletes": 0, "probes": 0}
         for q in self.queues:
             for key, value in q.counters.items():
                 total[key] += value

@@ -288,7 +288,7 @@ def scheduler_metrics(
         from repro.core.dominating import dominating_cache_stats
 
         stats = dominating_cache_stats()
-        for key in ("hits", "misses", "evictions", "invalidations"):
+        for key in ("hits", "misses"):
             c = reg.counter(f"dominating_cache.{key}")
             c.reset()
             c.inc(stats[key])

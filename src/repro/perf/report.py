@@ -2,7 +2,7 @@
 
 ``repro bench`` measures two kinds of quantities per scenario:
 
-* **Deterministic** — ops counters (queue mutations, probes, memo hits,
+* **Deterministic** — ops counters (queue mutations, probes,
   simulator events) and a checksum over the scenario's numeric outputs.
   These are machine-independent: any difference against the committed
   baseline means *behaviour* changed, which is always a failure.
@@ -50,8 +50,7 @@ class ScenarioResult:
     """One pinned scenario's measurements.
 
     ``wall_time_s`` maps phase name → best-of-repeats seconds (a
-    scenario may time several phases, e.g. WBG times the scalar and the
-    vector kernel separately). ``ops`` and ``checksum`` are the
+    scenario may time several phases). ``ops`` and ``checksum`` are the
     deterministic half; ``params`` pins the workload so a comparison
     against a baseline produced by a different suite is rejected
     instead of silently passing.

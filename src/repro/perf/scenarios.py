@@ -10,10 +10,6 @@ returns a :class:`~repro.perf.report.ScenarioResult` with
 Workloads are pinned: fixed seeds, fixed sizes (smaller under
 ``quick``), fixed Table II platform. Every run of the same code on any
 machine produces identical ops/checksums; only the wall times vary.
-
-The WBG scenario doubles as a live bit-identity assertion — it raises
-if the scalar and vector kernels ever disagree on a plan, independent
-of the differential fuzzer's ``wbg_kernel`` check.
 """
 
 from __future__ import annotations
@@ -26,11 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro.core.batch_multi import WorkloadBasedGreedy
-from repro.core.dominating import (
-    DominatingRanges,
-    dominating_cache_stats,
-    invalidate_dominating_cache,
-)
 from repro.core.dynamic import DynamicCostIndex
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II, RateTable
@@ -99,12 +90,10 @@ def _heterogeneous_platform(n_cores: int) -> list[RateTable]:
 
 
 def wbg_scaling(quick: bool, repeats: int) -> ScenarioResult:
-    """Algorithm 3 over a large batch: scalar heap loop vs vector merge.
+    """Algorithm 3's heap loop over a large batch.
 
-    Times both kernels on the same 10⁴-task (quick: 2·10³) batch over a
-    4-core heterogeneous platform, asserts the plans are identical, and
-    checksums the plan. The recorded ``scalar``/``vector`` times make
-    the speedup auditable from the committed baseline.
+    Times the plan of a 10⁴-task (quick: 2·10³) batch over a 4-core
+    heterogeneous platform and checksums it.
     """
     n_tasks = 2_000 if quick else 10_000
     n_cores = 4
@@ -114,36 +103,27 @@ def wbg_scaling(quick: bool, repeats: int) -> ScenarioResult:
         Task(cycles=rng.uniform(0.05, 30.0), name=f"t{i}") for i in range(n_tasks)
     ]
     scheduler = WorkloadBasedGreedy(models)
-
-    t_scalar, plan_scalar = _timed(lambda: scheduler.schedule(tasks, kernel="scalar"), repeats)
-    t_vector, plan_vector = _timed(lambda: scheduler.schedule(tasks, kernel="vector"), repeats)
-
-    def plan_key(plan):  # (core, [(cycles, rate), ...]) — identity up to task naming
-        return [
-            (s.core_index, [(p.task.cycles, p.rate) for p in s.placements]) for s in plan
-        ]
-
-    if plan_key(plan_scalar) != plan_key(plan_vector):
-        raise RuntimeError("WBG scalar and vector kernels produced different plans")
-
-    cost = scheduler.schedule_cost(plan_vector)
+    t_run, plan = _timed(lambda: scheduler.schedule(tasks), repeats)
+    # (core, [(cycles, rate), ...]) — identity up to task naming
+    plan_key = [(s.core_index, [(p.task.cycles, p.rate) for p in s.placements]) for s in plan]
+    cost = scheduler.schedule_cost(plan)
     return ScenarioResult(
         name="wbg_scaling",
         params={"n_tasks": n_tasks, "n_cores": n_cores, "seed": 2014,
                 "re": RE_BATCH, "rt": RT_BATCH},
-        wall_time_s={"scalar": t_scalar, "vector": t_vector},
+        wall_time_s={"run": t_run},
         ops={"tasks": n_tasks, "cores": n_cores},
-        checksum=_checksum(plan_key(plan_vector), cost.total_cost),
+        checksum=_checksum(plan_key, cost.total_cost),
     )
 
 
 def lmc_online_trace(quick: bool, repeats: int) -> ScenarioResult:
     """LMC over a Judgegirl-style trace through the event-driven runner.
 
-    Exercises the batched Equation 27 kernel, the memoized marginal
-    probes, and the simulator itself. Ops counters come from the policy
-    (probes, memo hits, queue mutations) and the runner (events fired,
-    preemptions) — all deterministic for the pinned trace.
+    Exercises Equation 27, the marginal probes, and the simulator
+    itself. Ops counters come from the policy (probes, queue mutations)
+    and the runner (events fired, preemptions) — all deterministic for
+    the pinned trace.
     """
     from repro.schedulers import LMCOnlineScheduler
     from repro.simulator import run_online
@@ -183,11 +163,8 @@ def dynamic_churn(quick: bool, repeats: int) -> ScenarioResult:
     """Algorithms 4–6 under random insert/delete/probe churn.
 
     A seeded mix of inserts (45%), deletes (30%), and marginal-cost
-    probes (25%) against one :class:`DynamicCostIndex`. Probes draw
-    from a small cycle menu so the probe memo sees repeats; its hit
-    counter is part of the gated ops — an invalidation bug that turned
-    probes into misses (or stale hits) shows up here as well as in the
-    correctness tests.
+    probes (25%) against one :class:`DynamicCostIndex`, with probes
+    drawn from a small cycle menu.
     """
     n_ops = 4_000 if quick else 20_000
     probe_menu = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -218,41 +195,6 @@ def dynamic_churn(quick: bool, repeats: int) -> ScenarioResult:
     )
 
 
-def dominating_cache(quick: bool, repeats: int) -> ScenarioResult:
-    """Algorithm 1 memo under repeated platform/pricing lookups.
-
-    Cycles through 16 distinct pricings many times; after the first
-    pass every lookup must hit the process-wide LRU. The hit/miss
-    deltas are gated ops, so a key or eviction bug that silently turned
-    lookups back into Algorithm 1 runs fails the gate.
-    """
-    n_lookups = 2_000 if quick else 10_000
-    pricings = [(0.05 * (i + 1), RT_BATCH) for i in range(8)] + [
-        (RE_BATCH, 0.05 * (i + 1)) for i in range(8)
-    ]
-
-    def run():
-        invalidate_dominating_cache()
-        before = dominating_cache_stats()
-        models = [CostModel(TABLE_II, re, rt) for re, rt in pricings]
-        rate_sum = 0.0
-        for i in range(n_lookups):
-            ranges = DominatingRanges.cached(models[i % len(models)])
-            rate_sum += ranges.rate_for(i % 7 + 1)
-        after = dominating_cache_stats()
-        delta = {k: after[k] - before[k] for k in ("hits", "misses")}
-        return delta, rate_sum
-
-    t_run, (delta, rate_sum) = _timed(run, repeats)
-    return ScenarioResult(
-        name="dominating_cache",
-        params={"n_lookups": n_lookups, "n_pricings": len(pricings)},
-        wall_time_s={"run": t_run},
-        ops={"lookups": n_lookups, **delta},
-        checksum=_checksum(rate_sum),
-    )
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A registered bench scenario: a name, a blurb, and its runner."""
@@ -265,9 +207,8 @@ class Scenario:
 ALL_SCENARIOS: dict[str, Scenario] = {
     s.name: s
     for s in (
-        Scenario("wbg_scaling", "Algorithm 3 batch: scalar heap vs vector merge", wbg_scaling),
+        Scenario("wbg_scaling", "Algorithm 3 heap loop over a large batch", wbg_scaling),
         Scenario("lmc_online_trace", "LMC policy over a pinned online trace", lmc_online_trace),
         Scenario("dynamic_churn", "DynamicCostIndex insert/delete/probe churn", dynamic_churn),
-        Scenario("dominating_cache", "Algorithm 1 memo hit behaviour", dominating_cache),
     )
 }

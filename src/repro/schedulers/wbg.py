@@ -25,19 +25,14 @@ def wbg_plan(
     n_cores: int,
     re: float,
     rt: float,
-    kernel: str = "auto",
     tracer: "Optional[Tracer]" = None,
 ) -> list[CoreSchedule]:
     """Optimal batch plan via Workload Based Greedy (Algorithm 3).
 
     ``table`` may be a single :class:`RateTable` (homogeneous platform)
-    or one per core (heterogeneous). ``kernel`` is forwarded to
-    :meth:`~repro.core.batch_multi.WorkloadBasedGreedy.schedule` —
-    ``"scalar"`` (heap loop), ``"vector"`` (NumPy merge over memoized
-    positional costs), or ``"auto"`` (pick by batch size); all produce
-    bit-identical plans. ``tracer`` (see :mod:`repro.obs`) records the
-    Algorithm 1 ranges and every Algorithm 3 slot pick without changing
-    the plan.
+    or one per core (heterogeneous). ``tracer`` (see :mod:`repro.obs`)
+    records the Algorithm 1 ranges and every Algorithm 3 slot pick
+    without changing the plan.
     """
     if n_cores < 1:
         raise ValueError("n_cores must be >= 1")
@@ -47,4 +42,4 @@ def wbg_plan(
         if len(table) != n_cores:
             raise ValueError("need one rate table per core")
         models = [CostModel(t, re, rt) for t in table]
-    return WorkloadBasedGreedy(models, tracer=tracer).schedule(tasks, kernel=kernel)
+    return WorkloadBasedGreedy(models, tracer=tracer).schedule(tasks)

@@ -13,6 +13,7 @@ Supported operations (``N`` = number of stored tasks):
 * ``delete(node)``, ``O(log N)`` expected;
 * ``rank(node)`` — 1-based rank, ``O(log N)``;
 * ``select(k)`` — node of rank ``k``, ``O(log N)``;
+* ``count_at_least(v)`` — how many values are ``>= v``, ``O(log N)``;
 * ``range_sum(a, b)`` — ``ξ([a,b]) = Σ_{k=a..b} L^B_k`` (Equation 28);
 * ``range_delta(a, b)`` — ``Δ([a,b]) = Σ_{k=a..b} (k-a+1)·L^B_k``
   (Equation 29), both ``O(log N)``;
@@ -287,6 +288,24 @@ class RangeTree:
             else:
                 k -= ls + 1
                 t = t.right
+
+    def count_at_least(self, value: float) -> int:
+        """How many stored values are ``>= value``. ``O(log N)``.
+
+        One plus this is the rank :meth:`insert` would give ``value``:
+        equal values rank in insertion order, so a newcomer goes after
+        them.
+        """
+        value = float(value)
+        count = 0
+        t = self._root
+        while t is not None:
+            if t.value >= value:
+                count += _size(t.left) + 1
+                t = t.right
+            else:
+                t = t.left
+        return count
 
     # -- range aggregates (Equations 28-30) ---------------------------------------
     def range_sum(self, a: int, b: int) -> float:

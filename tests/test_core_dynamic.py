@@ -119,24 +119,60 @@ class TestCascades:
         idx.check_invariants()
 
 
+def _state(index):
+    """Everything a probe could disturb, compared bitwise."""
+    return (index.total_cost, len(index), index.tree.values(), list(index._b),
+            list(index._x), list(index._d), [id(n) for n in index._alpha],
+            [id(n) for n in index._beta])
+
+
+def _deep_index(model, n=80, seed=7):
+    """A queue past several range edges (online pricing: 28, 39, 67)."""
+    idx = DynamicCostIndex(model)
+    rng = random.Random(seed)
+    for _ in range(n):
+        idx.insert(rng.uniform(1.0, 50.0))
+    return idx
+
+
 class TestMarginalCost:
-    def test_probe_restores_state(self, index):
+    def test_probe_restores_state(self, index, online_model):
         for v in (10.0, 20.0, 30.0):
             index.insert(v)
-        before = index.total_cost
-        mc = index.marginal_insert_cost(15.0)
-        assert index.total_cost == pytest.approx(before)
-        assert len(index) == 3
-        assert mc > 0
-        index.check_invariants()
+        deep = _deep_index(online_model)
+        for idx, probe in ((index, 15.0), (deep, 45.0), (deep, 0.5)):
+            before = _state(idx)
+            mc = idx.marginal_insert_cost(probe)
+            assert _state(idx) == before
+            assert idx.marginal_insert_cost(probe) == mc  # same float again
+            assert mc > 0
+            idx.check_invariants()
 
-    def test_probe_equals_actual_insert_delta(self, index):
+    def test_probe_equals_actual_insert_delta(self, index, online_model):
         for v in (10.0, 20.0, 30.0):
             index.insert(v)
         before = index.total_cost
         mc = index.marginal_insert_cost(15.0)
         index.insert(15.0)
         assert index.total_cost - before == pytest.approx(mc, rel=1e-9)
+
+        # a probe whose cascade crosses every full range edge; one equal
+        # to the last value of the first range, which ranks after it and
+        # so crosses every edge but the first; one at the very end
+        deep = _deep_index(online_model)
+        edges = [r.hi for r in deep.ranges if r.hi is not None and r.hi <= len(deep)]
+        assert len(edges) >= 3
+        at_edge = deep.tree.select(edges[0] - 1).value
+        assert deep.tree.count_at_least(45.0) + 1 < edges[0]
+        assert deep.tree.count_at_least(at_edge) + 1 == edges[0]
+        for probe in (45.0, at_edge, 0.5):
+            kb = deep.tree.count_at_least(probe) + 1
+            before = deep.total_cost
+            mc = deep.marginal_insert_cost(probe)
+            node = deep.insert(probe)
+            assert deep.backward_position(node) == kb
+            assert deep.total_cost - before == pytest.approx(mc, rel=1e-9)
+            deep.delete(node)
 
     def test_matches_naive(self, online_model):
         idx = DynamicCostIndex(online_model)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dominating import DominatingRanges, invalidate_dominating_cache
+from repro.core.dominating import DominatingRanges
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II
 from repro.models.vectorized import backward_cost_matrix
@@ -65,7 +65,6 @@ def test_table2_positional_costs_exact(pricing) -> None:
 @pytest.mark.parametrize("pricing", sorted(GOLDEN_RANGES))
 def test_cached_ranges_reproduce_golden(pricing) -> None:
     """The memo must hand back exactly the Algorithm 1 result."""
-    invalidate_dominating_cache()
     model = CostModel(TABLE_II, *pricing)
     cached = DominatingRanges.cached(model)
     assert [(r.rate, r.lo, r.hi) for r in cached] == GOLDEN_RANGES[pricing]

@@ -7,7 +7,6 @@ import pytest
 from repro.core.dynamic import DynamicCostIndex
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II
-from repro.models.task import Task
 from repro.obs import NullTracer, RecordingTracer
 from repro.schedulers import LMCOnlineScheduler, wbg_plan
 from repro.simulator import run_online
@@ -29,17 +28,6 @@ class TestWBGDifferential:
         traced = wbg_plan(tasks, TABLE_II, 4, 0.1, 0.4, tracer=tracer)
         assert plan_key(traced) == plan_key(base)
         assert len(tracer.by_kind("wbg.slot_pick")) == len(tasks)
-
-    def test_large_batch_crosses_vector_threshold(self):
-        # untraced "auto" takes the vector kernel at this size; traced runs
-        # force the scalar loop — the plans must still match exactly
-        rng = random.Random(123)
-        tasks = [Task(cycles=rng.uniform(0.1, 40.0), name=f"t{i}") for i in range(96)]
-        base = wbg_plan(tasks, TABLE_II, 2, 0.1, 0.4)
-        tracer = RecordingTracer()
-        traced = wbg_plan(tasks, TABLE_II, 2, 0.1, 0.4, tracer=tracer)
-        assert plan_key(traced) == plan_key(base)
-        assert tracer.by_kind("wbg.schedule")[0].data["kernel"] == "auto"
 
     def test_null_tracer_matches_none(self):
         tasks = list(spec_tasks("train"))

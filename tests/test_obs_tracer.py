@@ -26,7 +26,7 @@ from repro.obs import (
 # kind -> (sorted required fields, sorted optional fields)
 PINNED_SPECS = {
     "ranges.build": (["ranges", "rates", "re", "rt"], ["core"]),
-    "wbg.schedule": (["kernel", "n_cores", "n_tasks"], []),
+    "wbg.schedule": (["n_cores", "n_tasks"], []),
     "wbg.slot_pick": (
         ["candidates", "core", "cycles", "positional_cost", "rate", "slot",
          "task", "task_id"],
@@ -39,21 +39,21 @@ PINNED_SPECS = {
                        ["queue", "task", "task_id"]),
     "dynamic.delete": (["cycles", "position", "total_cost"],
                        ["queue", "task", "task_id"]),
-    "dynamic.probe": (["cycles", "marginal", "memo_hit"], ["queue"]),
+    "dynamic.probe": (["cycles", "marginal"], ["queue"]),
     "sim.dispatch": (["core", "rate", "task", "task_id", "task_kind", "time"], []),
     "sim.complete": (["core", "energy_joules", "task", "task_id", "time",
                       "turnaround"], []),
     "sim.preempt": (["core", "task", "task_id", "time"], []),
     "sim.rate": (["core", "prev_rate", "rate", "time"], []),
     "sim.event": (["label", "time"], []),
-    "span.begin": (["name"], ["kernel", "n_cores", "n_events", "n_tasks", "scenario"]),
-    "span.end": (["name"], ["kernel", "n_cores", "n_events", "n_tasks", "scenario"]),
+    "span.begin": (["name"], ["n_cores", "n_events", "n_tasks", "scenario"]),
+    "span.end": (["name"], ["n_cores", "n_events", "n_tasks", "scenario"]),
 }
 
 
 class TestSchemaStability:
     def test_schema_version(self):
-        assert TRACE_SCHEMA_VERSION == 1
+        assert TRACE_SCHEMA_VERSION == 2
 
     def test_kind_registry_is_pinned(self):
         assert sorted(EVENT_SPECS) == sorted(PINNED_SPECS)
@@ -107,7 +107,7 @@ class TestRecordingTracer:
         t = RecordingTracer()
         t.emit("sim.event", {"time": 0.0, "label": "a"}, time=0.0)
         t.emit("sim.event", {"time": 1.0, "label": "b"}, time=1.0)
-        t.emit("wbg.schedule", {"n_tasks": 1, "n_cores": 1, "kernel": "scalar"})
+        t.emit("wbg.schedule", {"n_tasks": 1, "n_cores": 1})
         assert [e.seq for e in t.events] == [0, 1, 2]
         assert t.counts == {"sim.event": 2, "wbg.schedule": 1}
         assert len(t.by_kind("sim.event")) == 2
@@ -143,7 +143,7 @@ class TestRecordingTracer:
     def test_span_brackets(self):
         t = RecordingTracer()
         with t.span("schedule", n_tasks=4):
-            t.emit("wbg.schedule", {"n_tasks": 4, "n_cores": 2, "kernel": "scalar"})
+            t.emit("wbg.schedule", {"n_tasks": 4, "n_cores": 2})
         kinds = [e.kind for e in t.events]
         assert kinds == ["span.begin", "wbg.schedule", "span.end"]
         assert t.events[0].data == {"name": "schedule", "n_tasks": 4}
@@ -155,7 +155,7 @@ class TestJsonlRoundTrip:
         path = tmp_path / "trace.jsonl"
         with JsonlTracer(path) as t:
             t.emit("sim.event", {"time": 0.5, "label": "go"}, time=0.5)
-            t.emit("wbg.schedule", {"n_tasks": 2, "n_cores": 1, "kernel": "vector"})
+            t.emit("wbg.schedule", {"n_tasks": 2, "n_cores": 1})
         events = read_trace(path)
         assert [e.kind for e in events] == ["sim.event", "wbg.schedule"]
         assert events[0].time == 0.5

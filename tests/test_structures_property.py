@@ -187,3 +187,30 @@ def test_rangetree_range_sum_after_heavy_deletions() -> None:
             assert _close(tree.range_sum(a, b), xi)
             assert _close(tree.range_delta(a, b), delta)
             assert _close(tree.range_gamma(a, b), gamma)
+
+
+@pytest.mark.parametrize("trial", range(8))
+def test_rangetree_count_at_least_matches_sorted_list(trial: int) -> None:
+    """``count_at_least`` vs a sorted list, with many duplicate values.
+
+    Values come from a small integer menu so equal keys are common; a
+    newcomer must rank right after every equal value, exactly where
+    ``insert`` puts it.
+    """
+    rng = random.Random(0xBEEF + trial)
+    tree = RangeTree(seed=trial)
+    live: list = []
+    for _ in range(150):
+        if rng.random() < 0.6 or not live:
+            value = float(rng.randint(1, 12))
+            expected_rank = sum(v >= value for _, v in live) + 1
+            assert tree.count_at_least(value) + 1 == expected_rank
+            node = tree.insert(value)
+            assert tree.rank(node) == expected_rank
+            live.append((node, value))
+        else:
+            node, _value = live.pop(rng.randrange(len(live)))
+            tree.delete(node)
+        values = [v for _, v in live]
+        for probe in (0.5, float(rng.randint(1, 12)), rng.uniform(0.0, 13.0), 13.0):
+            assert tree.count_at_least(probe) == sum(v >= probe for v in values)
