@@ -17,24 +17,12 @@ from conftest import RE_BATCH, RT_BATCH, emit
 from repro.analysis.metrics import improvement_summary, normalize_costs
 from repro.analysis.reporting import render_cost_breakdown, render_cost_comparison
 from repro.models.rates import TABLE_II
-from repro.schedulers import olb_plan, power_saving_plan, wbg_plan
-from repro.simulator import run_batch
-
-
-def _run_all(tasks):
-    plans = {
-        "WBG": wbg_plan(tasks, TABLE_II, 4, RE_BATCH, RT_BATCH),
-        "OLB": olb_plan(tasks, TABLE_II, 4),
-        "PS": power_saving_plan(tasks, TABLE_II, 4),
-    }
-    return {
-        name: run_batch(plan, TABLE_II).cost(RE_BATCH, RT_BATCH)
-        for name, plan in plans.items()
-    }
+from repro.scenarios import batch_costs
+from repro.schedulers import wbg_plan
 
 
 def test_fig2_comparison(benchmark, spec_batch):
-    costs = benchmark(_run_all, spec_batch)
+    costs = benchmark(batch_costs, spec_batch, 4)
 
     norm = normalize_costs(costs, "WBG")
     emit(render_cost_comparison(norm, "WBG", "FIG. 2 — BATCH MODE COST COMPARISON"))

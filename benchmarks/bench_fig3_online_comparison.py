@@ -19,14 +19,9 @@ import pytest
 from conftest import RE_ONLINE, RT_ONLINE, emit
 from repro.analysis.metrics import improvement_summary, normalize_costs
 from repro.analysis.reporting import render_cost_comparison
-from repro.governors import OnDemandGovernor
 from repro.models.rates import TABLE_II
-from repro.schedulers import (
-    LMCOnlineScheduler,
-    OLBOnlineScheduler,
-    OnDemandRoundRobinScheduler,
-)
-from repro.simulator import run_online
+from repro.scenarios import online_costs
+from repro.schedulers import LMCOnlineScheduler
 from repro.workloads import generate_judge_trace
 from repro.workloads.trace import trace_summary
 
@@ -36,24 +31,11 @@ def trace():
     return generate_judge_trace()
 
 
-def _run_all(trace):
-    return {
-        "LMC": run_online(
-            trace, LMCOnlineScheduler(TABLE_II, 4, RE_ONLINE, RT_ONLINE), TABLE_II
-        ),
-        "OLB": run_online(trace, OLBOnlineScheduler(TABLE_II, 4), TABLE_II),
-        "OD": run_online(
-            trace,
-            OnDemandRoundRobinScheduler(4),
-            TABLE_II,
-            governors=[OnDemandGovernor(TABLE_II) for _ in range(4)],
-        ),
-    }
-
-
 def test_fig3_comparison(benchmark, trace):
-    results = benchmark.pedantic(_run_all, args=(trace,), rounds=1, iterations=1)
-    costs = {k: r.cost(RE_ONLINE, RT_ONLINE) for k, r in results.items()}
+    # run_online raises unless every task of the trace completes
+    costs = benchmark.pedantic(
+        online_costs, args=(trace, 4, ("LMC", "OLB", "OD")), rounds=1, iterations=1
+    )
 
     s = trace_summary(trace)
     emit(
@@ -80,9 +62,6 @@ def test_fig3_comparison(benchmark, trace):
     assert costs["LMC"].total_cost < costs["OD"].total_cost
     assert vs_olb["energy_pct"] < 0 and vs_olb["time_pct"] < 0
     assert vs_od["energy_pct"] < 0 and vs_od["time_pct"] < 0
-    # every task completed under every policy
-    for r in results.values():
-        assert len(r.records) == len(trace)
 
 
 def test_fig3_lmc_scheduling_overhead(benchmark):

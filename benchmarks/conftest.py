@@ -20,9 +20,8 @@ if str(_SRC) not in sys.path:
 
 import pytest
 
-#: The paper's pricing constants.
-RE_BATCH, RT_BATCH = 0.1, 0.4
-RE_ONLINE, RT_ONLINE = 0.4, 0.1
+# The paper's pricing constants, re-exported for the bench modules.
+from repro.scenarios import RE_BATCH, RE_ONLINE, RT_BATCH, RT_ONLINE  # noqa: F401
 
 
 def emit(text: str) -> None:

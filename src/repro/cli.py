@@ -43,20 +43,22 @@ from repro.analysis.reporting import (
 )
 from repro.analysis.verification import verify_model
 from repro.core.dominating import DominatingRanges
-from repro.governors import OnDemandGovernor
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II
 from repro.models.rates import TABLE_II_VERIFICATION
 from repro.models.task import Task
-from repro.schedulers import (
-    LMCOnlineScheduler,
-    OLBOnlineScheduler,
-    OnDemandRoundRobinScheduler,
-    olb_plan,
-    power_saving_plan,
-    wbg_plan,
+from repro.scenarios import (
+    RE_BATCH,
+    RE_ONLINE,
+    RT_BATCH,
+    RT_ONLINE,
+    SCENARIOS,
+    batch_costs,
+    online_costs,
+    run_traced,
 )
-from repro.simulator import run_batch, run_online
+from repro.schedulers import wbg_plan
+from repro.simulator import run_batch
 from repro.workloads import generate_judge_trace, JudgeTraceConfig, spec_tasks
 from repro.workloads.spec import SPEC_TABLE_I
 from repro.workloads.trace import trace_summary
@@ -121,14 +123,7 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
-    tasks = spec_tasks()
-    plans = {
-        "WBG": wbg_plan(tasks, TABLE_II, args.cores, args.re, args.rt),
-        "OLB": olb_plan(tasks, TABLE_II, args.cores),
-        "PS": power_saving_plan(tasks, TABLE_II, args.cores),
-    }
-    costs = {name: run_batch(plan, TABLE_II).cost(args.re, args.rt)
-             for name, plan in plans.items()}
+    costs = batch_costs(spec_tasks(), args.cores, args.re, args.rt)
     print(render_cost_comparison(normalize_costs(costs, "WBG"), "WBG",
                                  "FIG. 2 — BATCH MODE COST COMPARISON"))
     print()
@@ -150,14 +145,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     print(f"trace: {s.n_interactive} interactive + {s.n_noninteractive} non-interactive tasks, "
           f"offered load {100 * s.utilisation_at(TABLE_II.max_rate, args.cores):.0f}% "
           f"of {args.cores} cores at {TABLE_II.max_rate:g} GHz")
-    results = {
-        "LMC": run_online(trace, LMCOnlineScheduler(TABLE_II, args.cores, args.re, args.rt),
-                          TABLE_II),
-        "OLB": run_online(trace, OLBOnlineScheduler(TABLE_II, args.cores), TABLE_II),
-        "OD": run_online(trace, OnDemandRoundRobinScheduler(args.cores), TABLE_II,
-                         governors=[OnDemandGovernor(TABLE_II) for _ in range(args.cores)]),
-    }
-    costs = {k: r.cost(args.re, args.rt) for k, r in results.items()}
+    costs = online_costs(trace, args.cores, ("LMC", "OLB", "OD"), args.re, args.rt)
     print(render_cost_comparison(normalize_costs(costs, "LMC"), "LMC",
                                  "FIG. 3 — ONLINE MODE COST COMPARISON"))
     for base in ("OLB", "OD"):
@@ -241,17 +229,19 @@ def _format_event(event, width: int = 110) -> str:
     return f"{event.seq:>5}  {event.kind:<18}{stamp}  {data}"
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import RecordingTracer, run_traced_scenario
+def _run_traced(args: argparse.Namespace):
+    from repro.obs import RecordingTracer
 
     tracer = RecordingTracer()
-    summary = run_traced_scenario(
-        args.scenario, tracer,
-        re=args.re, rt=args.rt, n_cores=args.cores, seed=args.seed,
-    )
+    outcome = run_traced(args.scenario, tracer,
+                         re=args.re, rt=args.rt, n_cores=args.cores, seed=args.seed)
+    return tracer, outcome
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
+    tracer, outcome = _run_traced(args)
     events = tracer.events
-    parts = [f"{k}={summary[k]}" for k in ("n_tasks", "n_ops", "n_cores", "total_cost")
-             if k in summary]
+    parts = [f"{k}={v}" for k, v in outcome.summary.items()]
     print(f"scenario {args.scenario}: {', '.join(parts)}")
     counts = ", ".join(f"{k}×{v}" for k, v in sorted(tracer.counts.items()))
     print(f"{len(events)} trace events: {counts}")
@@ -268,13 +258,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        ExplainError,
-        RecordingTracer,
-        explain_task,
-        read_trace,
-        run_traced_scenario,
-    )
+    from repro.obs import ExplainError, explain_task, read_trace
 
     key = int(args.task) if args.task.lstrip("-").isdigit() else args.task
     if args.trace:
@@ -284,12 +268,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(f"error: cannot read trace {args.trace}: {exc}")
             return 2
     else:
-        tracer = RecordingTracer()
-        run_traced_scenario(
-            args.scenario, tracer,
-            re=args.re, rt=args.rt, n_cores=args.cores, seed=args.seed,
-        )
-        events = tracer.events
+        events = _run_traced(args)[0].events
     try:
         explanation = explain_task(events, key)
     except ExplainError as exc:
@@ -333,7 +312,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.perf import (
-        ALL_SCENARIOS,
         EXIT_CLEAN,
         EXIT_ERROR,
         compare_reports,
@@ -345,8 +323,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     if args.list_scenarios:
-        for name in sorted(ALL_SCENARIOS):
-            print(f"{name}  {ALL_SCENARIOS[name].description}")
+        for name in sorted(SCENARIOS):
+            print(f"{name}  {SCENARIOS[name].description}")
         return EXIT_CLEAN
 
     try:
@@ -437,8 +415,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return f"{v:+.2f}%" if h.endswith("_pct") else f"{v:g}"
         return str(v)
 
-    headers = list(run.rows[0]) if run.rows else []
-    rows = [tuple(_cell(h, row[h]) for h in headers) for row in run.rows]
+    # batch and online cells may report different margins: show every column
+    headers = list(dict.fromkeys(h for row in run.rows for h in row))
+    rows = [tuple(_cell(h, row[h]) if h in row else "-" for h in headers)
+            for row in run.rows]
     print(format_table(headers, rows,
                        title=f"sweep {args.name} ({'quick' if args.quick else 'full'})"))
     stats = run.stats
@@ -518,29 +498,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table2", help="print Table II").set_defaults(func=cmd_table2)
 
     p = sub.add_parser("ranges", help="dominating position ranges (Algorithm 1)")
-    _add_pricing(p, 0.1, 0.4)
+    _add_pricing(p, RE_BATCH, RT_BATCH)
     p.set_defaults(func=cmd_ranges)
 
     p = sub.add_parser("fig1", help="model verification (Sim vs Exp)")
-    _add_pricing(p, 0.1, 0.4)
+    _add_pricing(p, RE_BATCH, RT_BATCH)
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("fig2", help="batch mode comparison (WBG/OLB/PS)")
-    _add_pricing(p, 0.1, 0.4)
+    _add_pricing(p, RE_BATCH, RT_BATCH)
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("fig3", help="online mode comparison (LMC/OLB/OD)")
-    _add_pricing(p, 0.4, 0.1)
+    _add_pricing(p, RE_ONLINE, RT_ONLINE)
     p.add_argument("--seed", type=int, default=2014, help="trace seed (default 2014)")
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("batch", help="schedule an ad-hoc batch with WBG")
-    _add_pricing(p, 0.1, 0.4)
+    _add_pricing(p, RE_BATCH, RT_BATCH)
     p.add_argument("cycles", type=float, nargs="+", help="cycle counts (Gcycles)")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("gantt", help="ASCII Gantt chart of a WBG plan")
-    _add_pricing(p, 0.1, 0.4)
+    _add_pricing(p, RE_BATCH, RT_BATCH)
     p.add_argument("--width", type=int, default=72, help="chart width in chars")
     p.add_argument("cycles", type=float, nargs="+", help="cycle counts (Gcycles)")
     p.set_defaults(func=cmd_gantt)
@@ -558,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="output path (.csv or .jsonl)")
     p.set_defaults(func=cmd_workload)
 
-    from repro.obs.run import TRACE_SCENARIOS
-
     def _add_scenario_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--re", type=float, default=None,
                        help="cents per joule (default: the scenario's)")
@@ -571,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario seed (default: the scenario's)")
 
     p = sub.add_parser("trace", help="run a scenario with decision tracing on")
-    p.add_argument("scenario", choices=sorted(TRACE_SCENARIOS),
-                   help="; ".join(f"{k}: {v[1]}" for k, v in sorted(TRACE_SCENARIOS.items())))
+    p.add_argument("scenario", choices=sorted(SCENARIOS),
+                   help="; ".join(f"{k}: {v.description}" for k, v in sorted(SCENARIOS.items())))
     _add_scenario_opts(p)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the decision log as JSONL instead of printing")
@@ -584,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("task", help="task id (integer) or task name")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="read a recorded JSONL decision log (from `repro trace --out`)")
-    p.add_argument("--scenario", choices=sorted(TRACE_SCENARIOS), default="wbg",
+    p.add_argument("--scenario", choices=sorted(SCENARIOS), default="wbg",
                    help="scenario to run when no --trace is given (default wbg)")
     _add_scenario_opts(p)
     p.set_defaults(func=cmd_explain)

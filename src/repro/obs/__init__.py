@@ -17,8 +17,8 @@ without changing them:
 * :mod:`repro.obs.explain` — reconstructs *why* a task got its core,
   queue position, and rate from a recorded trace, citing the paper's
   equations (the engine behind ``repro explain``).
-* :mod:`repro.obs.run` — seeded reference scenarios behind
-  ``repro trace``.
+
+The seeded scenarios ``repro trace`` runs live in :mod:`repro.scenarios`.
 
 Instrumented call sites all follow the same contract: they accept
 ``tracer=None`` and guard every emission with ``if tracer is not
@@ -42,7 +42,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     scheduler_metrics,
 )
-from repro.obs.run import TRACE_SCENARIOS, run_traced_scenario
 from repro.obs.tracer import (
     JsonlTracer,
     NullTracer,
@@ -68,8 +67,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "scheduler_metrics",
-    "TRACE_SCENARIOS",
-    "run_traced_scenario",
     "JsonlTracer",
     "NullTracer",
     "RecordingTracer",

@@ -1,9 +1,10 @@
 """Deterministic performance harness behind ``repro bench``.
 
 Measures the hot paths (the WBG heap loop, the dynamic index under
-churn, the LMC policy in the online simulator) on pinned seeded
-workloads, writes ``BENCH_schedulers.json`` at the repo root, and gates changes against the committed baseline: exact
-match required for ops counters / checksums, a relative threshold
+churn, the LMC policy in the online simulator) on the pinned seeded
+scenarios of :mod:`repro.scenarios`, writes ``BENCH_schedulers.json``
+at the repo root, and gates changes against the committed baseline:
+exact match required for ops counters / checksums, a relative threshold
 (default 25%) for wall times. See docs/PERFORMANCE.md.
 """
 
@@ -26,7 +27,6 @@ from repro.perf.report import (
     save_report_file,
 )
 from repro.perf.runner import DEFAULT_REPEATS, run_bench
-from repro.perf.scenarios import ALL_SCENARIOS, Scenario
 from repro.perf.sweep import (
     SWEEP_PROFILE,
     SWEEPS,
@@ -38,7 +38,6 @@ from repro.perf.sweep import (
 )
 
 __all__ = [
-    "ALL_SCENARIOS",
     "SWEEPS",
     "SWEEP_PROFILE",
     "SweepRun",
@@ -56,7 +55,6 @@ __all__ = [
     "Finding",
     "SCHEMA_VERSION",
     "SUITE_NAME",
-    "Scenario",
     "TIME_NOISE_FLOOR_S",
     "ScenarioResult",
     "compare_reports",

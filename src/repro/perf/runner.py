@@ -7,21 +7,76 @@ With ``jobs > 1`` the scenarios fan out across worker processes through
 *inside* its worker, and the deterministic halves (ops, checksums,
 params) are bit-identical to a serial run, so the regression gate works
 unchanged. All policy — thresholds, baselines, exit codes — lives in
-:mod:`repro.perf.report`; all workload pinning in
-:mod:`repro.perf.scenarios`.
+:mod:`repro.perf.report`; the scenarios and their pinned inputs in
+:mod:`repro.scenarios`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Tuple
+import gc
+import time
+from typing import Any, Callable, Optional, Sequence, Tuple, TypeVar
 
 from repro.perf.report import BenchReport, ScenarioResult
-from repro.perf.scenarios import ALL_SCENARIOS
+from repro.scenarios import SCENARIOS, lookup
+
+T = TypeVar("T")
 
 #: Default best-of repeats per profile. Quick uses *more* repeats than
 #: full: its workloads are tiny, so per-run jitter is proportionally
 #: larger and best-of-5 is what keeps a 25% gate honest in CI.
 DEFAULT_REPEATS = {"full": 3, "quick": 5}
+
+
+def _timed(fn: Callable[[], T], repeats: int) -> tuple[float, T]:
+    """Best-of-``repeats`` wall time for ``fn`` (plus its last result).
+
+    One untimed warmup run first, so lazy imports and cache fills are
+    paid before the clock starts — the kernels are measured in steady
+    state, which is what the regression gate should compare. The cyclic
+    garbage collector is paused around the timed region (after one
+    explicit collection): a mid-run GC pass is the single biggest source
+    of best-of-N jitter at quick-profile workload sizes, and the 25%
+    gate should spend its slack on machine noise, not allocator luck.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    fn()
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        best = float("inf")
+        result: T
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            result = fn()
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        if was_enabled:
+            gc.enable()
+    return best, result
+
+
+def bench_scenario(name: str, quick: bool, repeats: int) -> ScenarioResult:
+    """Run scenario ``name`` at its ``quick`` or ``full`` inputs, timing
+    its measured region best-of-``repeats``; the inputs are the params."""
+    scenario = lookup(name)
+    inputs = scenario.inputs["quick" if quick else "full"]
+    wall: dict[str, float] = {}
+
+    def timed(fn: Callable[[], T]) -> T:
+        wall["run"], result = _timed(fn, repeats)
+        return result
+
+    outcome = scenario.run(inputs, timed=timed)
+    return ScenarioResult(
+        name=name,
+        params=dict(inputs),
+        wall_time_s=wall,
+        ops=outcome.ops,
+        checksum=outcome.checksum,
+    )
 
 
 def _bench_worker(payload: Tuple[str, bool, int], seed: int) -> ScenarioResult:
@@ -31,8 +86,7 @@ def _bench_worker(payload: Tuple[str, bool, int], seed: int) -> ScenarioResult:
     (that is what makes their ops/checksums machine-independent), so the
     executor's seed plumbing is inert here by design.
     """
-    name, quick, repeats = payload
-    return ALL_SCENARIOS[name].fn(quick, repeats)
+    return bench_scenario(*payload)
 
 
 def run_bench(
@@ -58,11 +112,9 @@ def run_bench(
         raise ValueError("repeats must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    names = list(scenarios) if scenarios else list(ALL_SCENARIOS)
+    names = list(scenarios) if scenarios else list(SCENARIOS)
     for name in names:
-        if name not in ALL_SCENARIOS:
-            available = ", ".join(sorted(ALL_SCENARIOS))
-            raise KeyError(f"unknown scenario {name!r} (available: {available})")
+        lookup(name)
 
     results: dict[str, ScenarioResult] = {}
     if jobs > 1 and len(names) > 1:
@@ -82,10 +134,9 @@ def run_bench(
                 log(f"bench [{profile}] {name}: {_times(result)}")
     else:
         for name in names:
-            scenario = ALL_SCENARIOS[name]
             if log is not None:
-                log(f"bench [{profile}] {name}: {scenario.description} ...")
-            result = scenario.fn(quick, repeats)
+                log(f"bench [{profile}] {name}: {SCENARIOS[name].description} ...")
+            result = bench_scenario(name, quick, repeats)
             results[name] = result
             if log is not None:
                 log(f"bench [{profile}] {name}: {_times(result)}")

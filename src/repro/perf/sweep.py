@@ -5,7 +5,8 @@ seed-replication in ``benchmarks/bench_fig3_replication.py``, the
 pricing-ratio ablation in ``bench_ablation_cost_weights.py``, and the
 core-count sweep in ``bench_sweep_cores.py``) all share one shape: a
 fixed list of independent, fully seeded cells, each running a handful
-of schedulers and reporting cost margins. This module pins those grids
+of schedulers and reporting cost margins. The cells run the paper's arm
+sets from :mod:`repro.scenarios`; this module pins the grids
 as :class:`SweepSpec` entries in :data:`SWEEPS` and runs them through
 :func:`repro.parallel.run_sharded`, so ``repro sweep fig3_replication
 --jobs 4`` fills four cores and still produces **exactly** the rows a
@@ -26,11 +27,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.metrics import improvement_summary
 from repro.perf.report import BenchReport, ScenarioResult
-
-#: The paper's pricing constants (batch: Fig. 2, online: Fig. 3).
-RE_BATCH, RT_BATCH = 0.1, 0.4
-RE_ONLINE, RT_ONLINE = 0.4, 0.1
+from repro.scenarios import batch_costs, online_costs
+from repro.workloads import JudgeTraceConfig, generate_judge_trace, spec_tasks
 
 #: Trace seeds for the Figure 3 replication grid (one cell per seed).
 FIG3_SEEDS = (11, 23, 37, 41, 59)
@@ -45,38 +45,13 @@ CORE_COUNTS_ONLINE = (2, 4, 8)
 
 def fig3_replication_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
     """One Figure 3 replication cell: LMC/OLB/OD margins at one seed."""
-    from repro.analysis.metrics import improvement_summary
-    from repro.governors import OnDemandGovernor
-    from repro.models.rates import TABLE_II
-    from repro.schedulers import (
-        LMCOnlineScheduler,
-        OLBOnlineScheduler,
-        OnDemandRoundRobinScheduler,
-    )
-    from repro.simulator import run_online
-    from repro.workloads import JudgeTraceConfig, generate_judge_trace
-
     cfg = JudgeTraceConfig(
         n_interactive=600 if quick else 3000,
         n_noninteractive=40 if quick else 200,
         duration_s=120.0 if quick else 450.0,
         seed=int(cell["seed"]),
     )
-    trace = generate_judge_trace(cfg)
-    n_cores = 4
-    costs = {
-        "LMC": run_online(
-            trace, LMCOnlineScheduler(TABLE_II, n_cores, RE_ONLINE, RT_ONLINE),
-            TABLE_II,
-        ).cost(RE_ONLINE, RT_ONLINE),
-        "OLB": run_online(
-            trace, OLBOnlineScheduler(TABLE_II, n_cores), TABLE_II
-        ).cost(RE_ONLINE, RT_ONLINE),
-        "OD": run_online(
-            trace, OnDemandRoundRobinScheduler(n_cores), TABLE_II,
-            governors=[OnDemandGovernor(TABLE_II) for _ in range(n_cores)],
-        ).cost(RE_ONLINE, RT_ONLINE),
-    }
+    costs = online_costs(generate_judge_trace(cfg), 4, ("LMC", "OLB", "OD"))
     return {
         "seed": cfg.seed,
         "vs_olb_total_pct": improvement_summary(costs, "LMC", "OLB")["total_pct"],
@@ -86,19 +61,8 @@ def fig3_replication_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
 
 def cost_weights_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
     """One pricing-ratio cell: WBG margins over OLB/PS at one Re:Rt."""
-    from repro.analysis.metrics import improvement_summary
-    from repro.models.rates import TABLE_II
-    from repro.schedulers import olb_plan, power_saving_plan, wbg_plan
-    from repro.simulator import run_batch
-    from repro.workloads import spec_tasks
-
     re, rt = float(cell["re"]), float(cell["rt"])
-    tasks = spec_tasks()
-    costs = {
-        "WBG": run_batch(wbg_plan(tasks, TABLE_II, 4, re, rt), TABLE_II).cost(re, rt),
-        "OLB": run_batch(olb_plan(tasks, TABLE_II, 4), TABLE_II).cost(re, rt),
-        "PS": run_batch(power_saving_plan(tasks, TABLE_II, 4), TABLE_II).cost(re, rt),
-    }
+    costs = batch_costs(spec_tasks(), 4, re, rt)
     return {
         "re": re,
         "rt": rt,
@@ -109,32 +73,9 @@ def cost_weights_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
 
 def core_count_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
     """One core-count cell: batch (WBG) or online (LMC) margins at a width."""
-    from repro.analysis.metrics import improvement_summary
-    from repro.models.rates import TABLE_II
-    from repro.schedulers import (
-        LMCOnlineScheduler,
-        OLBOnlineScheduler,
-        olb_plan,
-        power_saving_plan,
-        wbg_plan,
-    )
-    from repro.simulator import run_batch, run_online
-    from repro.workloads import JudgeTraceConfig, generate_judge_trace, spec_tasks
-
     n_cores = int(cell["n_cores"])
     if cell["mode"] == "batch":
-        tasks = spec_tasks()
-        costs = {
-            "WBG": run_batch(
-                wbg_plan(tasks, TABLE_II, n_cores, RE_BATCH, RT_BATCH), TABLE_II
-            ).cost(RE_BATCH, RT_BATCH),
-            "OLB": run_batch(olb_plan(tasks, TABLE_II, n_cores), TABLE_II).cost(
-                RE_BATCH, RT_BATCH
-            ),
-            "PS": run_batch(
-                power_saving_plan(tasks, TABLE_II, n_cores), TABLE_II
-            ).cost(RE_BATCH, RT_BATCH),
-        }
+        costs = batch_costs(spec_tasks(), n_cores)
         return {
             "mode": "batch",
             "n_cores": n_cores,
@@ -147,16 +88,7 @@ def core_count_cell(cell: Dict[str, Any], quick: bool) -> Dict[str, Any]:
         duration_s=120.0 if quick else 450.0,
         seed=31,
     )
-    trace = generate_judge_trace(cfg)
-    costs = {
-        "LMC": run_online(
-            trace, LMCOnlineScheduler(TABLE_II, n_cores, RE_ONLINE, RT_ONLINE),
-            TABLE_II,
-        ).cost(RE_ONLINE, RT_ONLINE),
-        "OLB": run_online(
-            trace, OLBOnlineScheduler(TABLE_II, n_cores), TABLE_II
-        ).cost(RE_ONLINE, RT_ONLINE),
-    }
+    costs = online_costs(generate_judge_trace(cfg), n_cores, ("LMC", "OLB"))
     return {
         "mode": "online",
         "n_cores": n_cores,
@@ -255,7 +187,6 @@ def run_sweep(
     name: str,
     jobs: int = 1,
     quick: bool = False,
-    root_seed: int = 0,
     log: Optional[Callable[[str], None]] = None,
     registry: Optional[Any] = None,
 ) -> SweepRun:
@@ -279,7 +210,6 @@ def run_sweep(
     run = run_sharded(
         _sweep_worker,
         [(name, cell, quick) for cell in cells],
-        root_seed=root_seed,
         config=ParallelConfig(jobs=jobs),
         log=log,
     )

@@ -219,7 +219,6 @@ def run_online(
     policy: OnlinePolicy,
     tables: Sequence[RateTable] | RateTable,
     governors: Optional[Sequence[Governor]] = None,
-    idle_power: float = 0.0,
     tracer=None,
 ) -> OnlineResult:
     """Simulate an online trace under ``policy``. Returns measurements.
@@ -255,7 +254,7 @@ def run_online(
     cores: list[_CoreState] = []
     for j in range(n):
         gov = governors[j] if governors is not None else None
-        sc = SimCore(j, table_for(j), idle_power=idle_power, keep_trace=False)
+        sc = SimCore(j, table_for(j), keep_trace=False)
         rate = gov.initial_rate() if gov is not None else table_for(j).max_rate
         sc.rate = rate
         cores.append(_CoreState(sim=sc, governor=gov, current_rate=rate))

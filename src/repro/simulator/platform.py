@@ -17,7 +17,7 @@ Fig. 1 "Exp > Sim" gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.models.rates import RateTable
@@ -38,7 +38,6 @@ class TaskExecution:
     energy_joules: float = 0.0
     busy_seconds: float = 0.0
     preemptions: int = 0
-    segments: list[tuple[float, float, float]] = field(default_factory=list)  # (start, end, rate)
 
     @property
     def done(self) -> bool:
@@ -145,8 +144,6 @@ class SimCore:
                 watts = self.table.power(self.rate)
                 self.current.energy_joules += watts * dt
                 self.meter.record_busy(self._last_update, now, watts)
-                seg = (self._last_update, now, self.rate)
-                self.current.segments.append(seg)
             else:
                 self.meter.record_idle(self._last_update, now)
         self._last_update = max(self._last_update, now)

@@ -11,27 +11,26 @@ import pytest
 from repro.core.dominating import DominatingRanges
 from repro.models.cost import CostModel
 from repro.models.rates import TABLE_II
-from repro.obs import (
-    ExplainError,
-    RecordingTracer,
-    explain_task,
-    run_traced_scenario,
-    task_events,
-)
+from repro.obs import ExplainError, RecordingTracer, explain_task, task_events
+from repro.scenarios import run_traced
+
+
+def _traced(name):
+    tracer = RecordingTracer()
+    tasks = run_traced(name, tracer, n_cores=2).tasks
+    summary = {"task_ids": [t.task_id for t in tasks],
+               "task_names": [t.name for t in tasks]}
+    return tracer.events, summary
 
 
 @pytest.fixture(scope="module")
 def wbg_trace():
-    tracer = RecordingTracer()
-    summary = run_traced_scenario("wbg", tracer, n_cores=2)
-    return tracer.events, summary
+    return _traced("wbg")
 
 
 @pytest.fixture(scope="module")
 def lmc_trace():
-    tracer = RecordingTracer()
-    summary = run_traced_scenario("lmc", tracer, n_cores=2)
-    return tracer.events, summary
+    return _traced("lmc")
 
 
 class TestBatchGolden:

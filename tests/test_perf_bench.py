@@ -14,7 +14,6 @@ import pytest
 
 from repro.cli import main
 from repro.perf import (
-    ALL_SCENARIOS,
     EXIT_CLEAN,
     EXIT_ERROR,
     EXIT_REGRESSION,
@@ -26,6 +25,7 @@ from repro.perf import (
     run_bench,
     save_report_file,
 )
+from repro.scenarios import SCENARIOS
 
 
 def _result(name: str = "s1", *, time: float = 1.0, ops: dict | None = None,
@@ -152,9 +152,9 @@ def test_load_rejects_bad_schema(tmp_path) -> None:
 
 
 def test_run_bench_scenario_deterministic_ops_and_checksum() -> None:
-    first = run_bench(scenarios=["dynamic_churn"], quick=True, repeats=1)
-    second = run_bench(scenarios=["dynamic_churn"], quick=True, repeats=1)
-    a, b = first.scenarios["dynamic_churn"], second.scenarios["dynamic_churn"]
+    first = run_bench(scenarios=["dynamic"], quick=True, repeats=1)
+    second = run_bench(scenarios=["dynamic"], quick=True, repeats=1)
+    a, b = first.scenarios["dynamic"], second.scenarios["dynamic"]
     assert a.ops == b.ops
     assert a.checksum == b.checksum
     assert a.params == b.params
@@ -168,8 +168,8 @@ def test_run_bench_unknown_scenario_raises() -> None:
 
 def test_scenario_catalog_is_pinned() -> None:
     """The suite the acceptance criteria name must stay present."""
-    assert {"wbg_scaling", "lmc_online_trace", "dynamic_churn"} <= set(ALL_SCENARIOS)
-    assert len(ALL_SCENARIOS) >= 3
+    assert {"wbg", "lmc", "dynamic"} <= set(SCENARIOS)
+    assert len(SCENARIOS) >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_scenario_catalog_is_pinned() -> None:
 def test_cli_bench_writes_report_and_gates(tmp_path, capsys) -> None:
     out = tmp_path / "BENCH_schedulers.json"
     args = ["bench", "--quick", "--repeats", "1",
-            "--scenario", "dynamic_churn", "--out", str(out)]
+            "--scenario", "dynamic", "--out", str(out)]
     assert main(args) == EXIT_CLEAN  # no baseline yet → records fresh
     assert out.exists()
     # second run gates against the file just written; generous threshold
@@ -193,10 +193,10 @@ def test_cli_bench_writes_report_and_gates(tmp_path, capsys) -> None:
 def test_cli_bench_detects_planted_regression(tmp_path) -> None:
     out = tmp_path / "BENCH_schedulers.json"
     args = ["bench", "--quick", "--repeats", "1",
-            "--scenario", "dynamic_churn", "--out", str(out)]
+            "--scenario", "dynamic", "--out", str(out)]
     assert main(args) == EXIT_CLEAN
     raw = json.loads(out.read_text())
-    scenario = raw["profiles"]["quick"]["scenarios"]["dynamic_churn"]
+    scenario = raw["profiles"]["quick"]["scenarios"]["dynamic"]
     scenario["ops"]["probes"] -= 1  # pretend the baseline behaved differently
     out.write_text(json.dumps(raw))
     assert main(args + ["--threshold", "100"]) == EXIT_REGRESSION
@@ -211,28 +211,28 @@ def test_cli_bench_corrupt_baseline_is_error(tmp_path, capsys) -> None:
     out = tmp_path / "BENCH.json"
     out.write_text("{not json")
     code = main(["bench", "--quick", "--repeats", "1",
-                 "--scenario", "dynamic_churn", "--out", str(out)])
+                 "--scenario", "dynamic", "--out", str(out)])
     assert code == EXIT_ERROR
 
 
 def test_cli_bench_list_scenarios(capsys) -> None:
     assert main(["bench", "--list-scenarios"]) == EXIT_CLEAN
     out = capsys.readouterr().out
-    for name in ALL_SCENARIOS:
+    for name in SCENARIOS:
         assert name in out
-        assert ALL_SCENARIOS[name].description in out
+        assert SCENARIOS[name].description in out
 
 
 def test_cli_bench_list_short_alias(capsys) -> None:
     """``--list`` and ``--list-scenarios`` are the same flag."""
     assert main(["bench", "--list"]) == EXIT_CLEAN
     out = capsys.readouterr().out
-    for name in ALL_SCENARIOS:
+    for name in SCENARIOS:
         assert name in out
 
 
 def test_cli_bench_rejects_bad_jobs(tmp_path) -> None:
     out = tmp_path / "BENCH.json"
     code = main(["bench", "--quick", "--repeats", "1", "--jobs", "0",
-                 "--scenario", "dynamic_churn", "--out", str(out)])
+                 "--scenario", "dynamic", "--out", str(out)])
     assert code == EXIT_ERROR

@@ -155,3 +155,10 @@ def test_cli_sweep_compare_serial_asserts_identity(capsys):
                  "--compare-serial"])
     assert code == EXIT_CLEAN
     assert "rows identical" in capsys.readouterr().out
+
+
+def test_cli_sweep_core_count_mixes_batch_and_online_columns(capsys):
+    # online cells have no PS margin; the table shows every column
+    assert main(["sweep", "core_count", "--quick"]) == EXIT_CLEAN
+    out = capsys.readouterr().out
+    assert "vs_ps_total_pct" in out and "online" in out

@@ -206,11 +206,12 @@ class TestBenchBaseline:
                 assert scenario.params
 
     def test_baseline_covers_the_pinned_suite(self):
-        from repro.perf import ALL_SCENARIOS, load_report_file
+        from repro.perf import load_report_file
+        from repro.scenarios import SCENARIOS
 
         profiles = load_report_file(ROOT / "BENCH_schedulers.json")
         for profile in ("full", "quick"):
-            assert set(profiles[profile].scenarios) == set(ALL_SCENARIOS)
+            assert set(profiles[profile].scenarios) == set(SCENARIOS)
 
     def test_recorded_sweep_profile_names_registered_sweeps(self):
         # the sweep profile (docs/PARALLELISM.md) holds `repro sweep
@@ -227,6 +228,17 @@ class TestBenchBaseline:
             # the recorded fan-out is auditable: both wall times present
             # when --compare-serial measured them
             assert scenario.ops["cells"] == scenario.params["cells"]
+
+    def test_recorded_sweep_checksum_reproduces(self):
+        # the committed fig3_replication grid must still come out of the
+        # current code: a moved margin changes this checksum
+        from repro.perf import SWEEP_PROFILE, load_report_file, run_sweep
+
+        profiles = load_report_file(ROOT / "BENCH_schedulers.json")
+        recorded = profiles[SWEEP_PROFILE].scenarios["sweep_fig3_replication"]
+        assert recorded.params["quick"] is True
+        assert recorded.checksum == "8760e2bf8807e436"
+        assert run_sweep("fig3_replication", quick=True).checksum == recorded.checksum
 
 
 class TestStaticAnalysis:
