@@ -121,7 +121,8 @@ class LMCOnlineScheduler:
         return self.policy.total_queued_cost()
 
     def counters(self) -> dict[str, int]:
-        """Deterministic ops counters (queue mutations, marginal probes,
-        probe-memo hits) aggregated over all cores — what ``repro bench``
-        records for the LMC trace scenario."""
+        """Deterministic ops counters aggregated over all cores:
+        ``inserts`` and ``deletes`` (queue mutations) and ``probes``
+        (marginal insert-cost probes) — what ``repro bench`` records for
+        the LMC trace scenario."""
         return self.policy.probe_counters()

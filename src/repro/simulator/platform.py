@@ -67,10 +67,25 @@ class SimCore:
         self.table = table
         self.contention = contention
         self.meter = PowerMeter(idle_power=idle_power, keep_trace=keep_trace)
+        self._ideal = contention.is_ideal
         self.rate = table.min_rate
         self.current: Optional[TaskExecution] = None
         self._last_update = 0.0
         self._co_runners = 0
+
+    @property
+    def rate(self) -> float:
+        """Current frequency. Assigning it validates the rate and looks up
+        ``T(p)`` and the busy power ``E(p) / T(p)`` once, so
+        :meth:`advance` never searches the table."""
+        return self._rate
+
+    @rate.setter
+    def rate(self, rate: float) -> None:
+        i = self.table.index_of(rate)
+        self._rate = rate
+        self._tpc = self.table.time_per_cycle[i]
+        self._watts = self.table.energy_per_cycle[i] / self.table.time_per_cycle[i]
 
     # -- state queries ------------------------------------------------------------
     @property
@@ -79,11 +94,10 @@ class SimCore:
 
     def effective_time_per_cycle(self) -> float:
         """Seconds per cycle right now, contention included."""
-        nominal = self.table.time(self.rate)
-        if self.contention.is_ideal:
-            return nominal
+        if self._ideal:
+            return self._tpc
         return self.contention.effective_time_per_cycle(
-            nominal, self.table.time_per_cycle[0], self._co_runners
+            self._tpc, self.table.time_per_cycle[0], self._co_runners
         )
 
     def completion_in(self) -> float:
@@ -118,41 +132,41 @@ class SimCore:
         legitimately when an unrelated event lands inside a
         switch-overhead window that :meth:`start` fast-forwarded over.
         """
-        dt = max(0.0, now - self._last_update)
+        dt = now - self._last_update
         if dt > 0.0:
-            if self.current is not None:
-                tpc = self.effective_time_per_cycle()
+            current = self.current
+            if current is not None:
+                tpc = self._tpc if self._ideal else self.effective_time_per_cycle()
                 cycles_done = dt / tpc
                 # guard: never execute more cycles than remain (caller should
                 # schedule the completion event at the exact finish time)
-                if cycles_done > self.current.remaining_cycles + CYCLE_OVERRUN_TOL:
+                if cycles_done > current.remaining_cycles + CYCLE_OVERRUN_TOL:
                     raise RuntimeError(
                         f"core {self.index} overran task "
-                        f"{self.current.task.task_id}: {cycles_done} > "
-                        f"{self.current.remaining_cycles} cycles"
+                        f"{current.task.task_id}: {cycles_done} > "
+                        f"{current.remaining_cycles} cycles"
                     )
-                if cycles_done > self.current.remaining_cycles:
+                if cycles_done > current.remaining_cycles:
                     # the completion event time rounds at the ulp of the
                     # absolute clock; clip the overshoot so the booked
                     # busy time and energy match the work actually left
                     # (for a tiny task, watts × overshoot can exceed its
                     # whole physical energy bound)
-                    cycles_done = self.current.remaining_cycles
+                    cycles_done = current.remaining_cycles
                     dt = cycles_done * tpc
-                self.current.remaining_cycles -= cycles_done
-                self.current.busy_seconds += dt
-                watts = self.table.power(self.rate)
-                self.current.energy_joules += watts * dt
+                current.remaining_cycles -= cycles_done
+                current.busy_seconds += dt
+                watts = self._watts
+                current.energy_joules += watts * dt
                 self.meter.record_busy(self._last_update, now, watts)
             else:
                 self.meter.record_idle(self._last_update, now)
-        self._last_update = max(self._last_update, now)
+            self._last_update = now
 
     # -- state changes (caller must advance() to `now` first or pass now) -------------
     def set_rate(self, rate: float, now: float) -> None:
         """Switch frequency at ``now`` (progress up to ``now`` accrued first)."""
         self.advance(now)
-        self.table.index_of(rate)  # validate
         self.rate = rate
 
     def set_co_runners(self, count: int, now: float) -> None:
@@ -169,7 +183,6 @@ class SimCore:
             raise RuntimeError(f"core {self.index} is already busy")
         if execution.done:
             raise ValueError("cannot start a finished execution")
-        self.table.index_of(rate)
         self.rate = rate
         self.current = execution
         if execution.started_at is None:
@@ -177,7 +190,7 @@ class SimCore:
         if self.contention.switch_overhead_s > 0:
             # model the dispatch/DVFS latency as lost wall time at busy power
             overhead_end = now + self.contention.switch_overhead_s
-            watts = self.table.power(rate)
+            watts = self._watts
             self.meter.record_busy(now, overhead_end, watts)
             execution.energy_joules += watts * self.contention.switch_overhead_s
             execution.busy_seconds += self.contention.switch_overhead_s

@@ -16,7 +16,12 @@ or from-scratch reference and compares them on a randomized instance:
   choice vs. naive recomputation;
 * ``online`` — every online policy (LMC, OLB, SJF, ondemand-RR) run
   through the event simulator on one trace, audited by the
-  conservation-law invariant checker.
+  conservation-law invariant checker;
+* ``online_ref`` — the same policies and traces through ``run_online``
+  and through the reference event loop in
+  :mod:`repro.verify.online_reference`, which must agree exactly: record
+  order, every record's core, times, preemptions, energy and busy time,
+  the event count and each core's busy seconds.
 
 A check's ``run(case)`` returns a list of human-readable failure
 messages (empty = agreement). Cases are JSON-able dicts produced by
@@ -46,9 +51,10 @@ from repro.schedulers.lmc import LMCOnlineScheduler
 from repro.schedulers.olb import OLBOnlineScheduler
 from repro.schedulers.ondemand_rr import OnDemandRoundRobinScheduler
 from repro.schedulers.sjf import SJFMaxRateScheduler
-from repro.simulator.online_runner import run_online
+from repro.simulator.online_runner import OnlineResult, OnlineTaskRecord, run_online
 from repro.verify import generators as gen
 from repro.verify.invariants import check_batch_schedules, check_dynamic_index, check_online_result
+from repro.verify.online_reference import run_online_reference
 
 #: Range boundaries beyond this are not brute-force verified (the scan
 #: is O(|P|) per position, but boundaries can sit at ~1e12 under extreme
@@ -429,13 +435,80 @@ class OnlineCheck(DifferentialCheck):
 
 
 # ---------------------------------------------------------------------------
+# online runner vs the reference event loop, bit for bit
+# ---------------------------------------------------------------------------
+
+def _record_key(r: OnlineTaskRecord) -> tuple:
+    return (r.task.task_id, r.core, r.first_start, r.finish, r.preemptions,
+            r.energy_joules, r.busy_seconds)
+
+
+def _online_mismatches(fast: OnlineResult, ref: OnlineResult) -> list[str]:
+    """How ``fast`` differs from ``ref`` (up to the first differing
+    record); floats must be equal, not close."""
+    out: list[str] = []
+    if fast.events != ref.events:
+        out.append(f"events {fast.events} != reference {ref.events}")
+    if fast.core_busy_seconds != ref.core_busy_seconds:
+        out.append(f"core busy seconds {fast.core_busy_seconds!r} "
+                   f"!= reference {ref.core_busy_seconds!r}")
+    if len(fast.records) != len(ref.records):
+        out.append(f"{len(fast.records)} records != reference {len(ref.records)}")
+    for k, (a, b) in enumerate(zip(fast.records, ref.records)):
+        if _record_key(a) != _record_key(b):
+            out.append(f"record {k}: {_record_key(a)!r} != reference {_record_key(b)!r}")
+            break
+    return out
+
+
+class OnlineRefCheck(OnlineCheck):
+    name = "online_ref"
+
+    def generate(self, rng: random.Random) -> dict:
+        case = super().generate(rng)
+        # An arrival that lands exactly on a queued completion must see the
+        # finishing task still running; random floats almost never collide.
+        # Chain some arrivals to ``arrival + cycles · T(p)`` of an earlier
+        # task: the instant it finishes if it starts on arrival at rate p.
+        trace = case["trace"]
+        for _ in range(rng.randint(0, len(trace))):
+            base = rng.choice(trace)
+            per_cycle = rng.choice(rng.choice(case["tables"])["time"])
+            trace.append({"cycles": rng.choice(trace)["cycles"],
+                          "arrival": base["arrival"] + base["cycles"] * per_cycle,
+                          "kind": rng.choice(("interactive", "noninteractive"))})
+        return case
+
+    def run(self, case: dict) -> list[str]:
+        tables = [gen.table_from_dict(spec) for spec in case["tables"]]
+        n_cores = len(tables)
+        trace = gen.trace_from_dicts(case["trace"])
+        failures: list[str] = []
+        for name in self.POLICIES:
+            results = []
+            for runner in (run_online, run_online_reference):
+                policy, governors = self._make_policy(
+                    name, tables, n_cores, case["re"], case["rt"]
+                )
+                try:
+                    results.append(runner(trace, policy, tables, governors=governors))
+                except Exception as exc:  # a crash is a finding, not a fuzzer error
+                    failures.append(f"{name}: {runner.__name__} raised "
+                                    f"{type(exc).__name__}: {exc}")
+                    break
+            if len(results) == 2:
+                failures.extend(f"{name}: {m}" for m in _online_mismatches(*results))
+        return failures
+
+
+# ---------------------------------------------------------------------------
 # registry + replay
 # ---------------------------------------------------------------------------
 
 ALL_CHECKS: dict[str, DifferentialCheck] = {
     c.name: c
     for c in (DominatingCheck(), WbgCheck(), DynamicCheck(),
-              LmcCheck(), OnlineCheck())
+              LmcCheck(), OnlineCheck(), OnlineRefCheck())
 }
 
 

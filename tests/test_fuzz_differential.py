@@ -19,6 +19,7 @@ flushed out while this subsystem was built:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -174,3 +175,54 @@ class TestFoundRegressions:
                       {"arrival": 5.04200072827672, "cycles": 1e-06,
                        "kind": "interactive"}],
         })
+
+
+# ---------------------------------------------------------------------------
+# online_ref: run_online vs the reference event loop
+# ---------------------------------------------------------------------------
+
+_TABLE_II_SPEC = {"rates": [1.6, 2.0, 2.4, 2.8, 3.0],
+                  "energy": [3.375, 4.22, 5.0, 6.0, 7.1],
+                  "time": [0.625, 0.5, 0.42, 0.36, 0.33]}
+
+# q arrives at 6.25, the instant ni completes on core 0 (10 cycles at 1.6 GHz)
+_TIE_CASE = {
+    "re": 0.4, "rt": 0.1,
+    "tables": [_TABLE_II_SPEC, _TABLE_II_SPEC],
+    "trace": [{"arrival": 0.0, "cycles": 10.0, "kind": "noninteractive"},
+              {"arrival": 6.25, "cycles": 1.0, "kind": "interactive"}],
+}
+
+
+class TestOnlineRefOracle:
+    def test_arrival_on_a_completion_instant_agrees(self):
+        replay("online_ref", _TIE_CASE)
+
+    def test_one_ulp_of_energy_is_a_divergence(self, monkeypatch):
+        import repro.verify.differential as differential
+
+        real = differential.run_online
+
+        def skewed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            first = result.records[0]
+            result.records[0] = dataclasses.replace(
+                first, energy_joules=math.nextafter(first.energy_joules, math.inf))
+            return result
+
+        monkeypatch.setattr(differential, "run_online", skewed)
+        failures = run_case("online_ref", _TIE_CASE)
+        assert len(failures) == len(ALL_CHECKS["online_ref"].POLICIES)
+        assert all("record 0:" in f for f in failures)
+
+    def test_generated_traces_put_arrivals_on_completion_instants(self):
+        # chained arrivals are what exercise the merge's tie rule
+        check = ALL_CHECKS["online_ref"]
+        chained = 0
+        for i in range(20):
+            case = check.generate(random.Random(f"0:online_ref:{i}"))
+            ends = {t["arrival"] + t["cycles"] * per_cycle
+                    for t in case["trace"]
+                    for spec in case["tables"] for per_cycle in spec["time"]}
+            chained += sum(t["arrival"] in ends for t in case["trace"])
+        assert chained > 0

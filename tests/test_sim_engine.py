@@ -44,6 +44,12 @@ class TestScheduling:
             sim.at(math.nan, lambda: None)
         with pytest.raises(ValueError):
             sim.after(-1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.feed([4.0], [None], lambda _: None)
+        with pytest.raises(ValueError):
+            sim.feed([6.0, math.nan], [None, None], lambda _: None)
+        with pytest.raises(ValueError):
+            sim.feed([7.0, 6.0], [None, None], lambda _: None)
 
     def test_cancellation(self):
         sim = Simulation()
@@ -128,4 +134,18 @@ class TestPropertyBased:
             sim.at(t, lambda t=t: fired.append(t))
         sim.run()
         assert fired == sorted(times)
+        assert sim.events_fired == len(times)
+
+        # the same times split between a fed stream and the heap: the
+        # merged firing order is still sorted, and on a tie every stream
+        # event fires before every queued one
+        sim = Simulation()
+        fired = []
+        streamed = sorted(times[::2])
+        for t in times[1::2]:
+            sim.at(t, lambda t=t: fired.append((t, 1)))
+        sim.feed(streamed, streamed, lambda t: fired.append((t, 0)))
+        sim.run()
+        assert fired == sorted(fired)
+        assert sorted(t for t, _ in fired) == sorted(times)
         assert sim.events_fired == len(times)

@@ -37,6 +37,18 @@ class TestSimultaneousEvents:
         assert by_name["ni"].preemptions == 0  # no preemption of a done task
         assert by_name["q"].first_start == pytest.approx(6.25)
 
+    def test_arrival_fires_before_completion_at_same_instant(self):
+        # ni finishes on core 0 at exactly 6.25, when q arrives. The arrival
+        # fires first, so q still sees core 0 running its NI task and LMC
+        # sends q to core 1; had the completion fired first, both cores
+        # would look idle and q would go to core 0.
+        trace = [ni(10.0, 0.0, "ni"), inter(1.0, 6.25, "q")]
+        res = run_online(trace, LMCOnlineScheduler(TABLE_II, 2, 0.4, 0.1), TABLE_II)
+        by_name = {r.task.name: r for r in res.records}
+        assert by_name["q"].core == 1
+        assert by_name["ni"].preemptions == 0
+        assert res.events == 4  # two arrivals, two completions
+
     def test_mixed_kinds_same_instant(self):
         trace = [ni(5.0, 2.0), inter(0.5, 2.0), ni(3.0, 2.0), inter(0.5, 2.0)]
         res = run_online(trace, LMCOnlineScheduler(TABLE_II, 2, 0.4, 0.1), TABLE_II)
