@@ -231,10 +231,9 @@ class CostModel:
             raise ValueError("cycles must be positive")
         if waiting_tasks < 0:
             raise ValueError("waiting_tasks must be non-negative")
-        pm = self.table.max_rate
-        own = self.re * cycles * self.table.energy(pm) + self.rt * cycles * self.table.time(pm)
-        inflicted = self.rt * cycles * self.table.time(pm) * waiting_tasks
-        return own + inflicted
+        table = self.table  # pm is the last rate, so E(pm) and T(pm) are the last entries
+        delay = self.rt * cycles * table.time_per_cycle[-1]
+        return self.re * cycles * table.energy_per_cycle[-1] + delay + delay * waiting_tasks
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CostModel(Re={self.re:g}, Rt={self.rt:g}, table={self.table.name or self.table.rates})"

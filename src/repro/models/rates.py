@@ -15,8 +15,7 @@ Section II-B ship as :data:`I7_950` (all 12 steps, power-law energy) and
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 
@@ -46,6 +45,9 @@ class RateTable:
     energy_per_cycle: tuple[float, ...]
     time_per_cycle: tuple[float, ...]
     name: str = ""
+    #: ``rate -> index`` for O(1) lookups; equality, hashing and ``repr``
+    #: see only the four fields above
+    _index: dict[float, int] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -58,7 +60,7 @@ class RateTable:
             raise ValueError("rate table must be non-empty")
         if len(rates) != len(energy_per_cycle):
             raise ValueError("rates and energy_per_cycle must align")
-        if any(p <= 0 for p in rates):
+        if any(not p > 0 for p in rates):  # NaN fails too
             raise ValueError("all rates must be positive")
         if time_per_cycle is None:
             time_per_cycle = [1.0 / p for p in rates]
@@ -90,24 +92,25 @@ class RateTable:
         object.__setattr__(self, "energy_per_cycle", e)
         object.__setattr__(self, "time_per_cycle", t)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_index", {rate: i for i, rate in enumerate(p)})
 
     # -- lookups --------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.rates)
 
     def index_of(self, rate: float) -> int:
-        """Index of ``rate`` in the sorted table; raises if absent."""
-        i = bisect.bisect_left(self.rates, rate)
-        if i == len(self.rates) or self.rates[i] != rate:
-            raise KeyError(f"rate {rate!r} not in table {self.rates}")
-        return i
+        """Index of ``rate`` in the sorted table; raises if absent.
+
+        Exact match only: an equal number of another type (``3`` for
+        ``3.0``) is found, a rate one ulp off or NaN is not.
+        """
+        try:
+            return self._index[rate]
+        except KeyError:
+            raise KeyError(f"rate {rate!r} not in table {self.rates}") from None
 
     def __contains__(self, rate: float) -> bool:
-        try:
-            self.index_of(rate)
-        except KeyError:
-            return False
-        return True
+        return rate in self._index
 
     def energy(self, rate: float) -> float:
         """``E(p)`` — joules per cycle at ``rate``."""

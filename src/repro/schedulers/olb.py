@@ -68,23 +68,30 @@ class OLBOnlineScheduler:
         if len(self._tables) != n_cores:
             raise ValueError("need one rate table per core")
         self._queues: list[deque[Task]] = [deque() for _ in range(n_cores)]
+        # T(p_max) per core: OLB runs everything at the top rate
+        self._time_at_max = [t.time_per_cycle[-1] for t in self._tables]
+        # each queue's summed cycles, None until recomputed after a change.
+        # A change clears it rather than adding to it: the sum is always
+        # the one sum() expression, whose float result (compensated since
+        # Python 3.12) a running total would not reproduce.
+        self._queued_cycles: list[Optional[float]] = [None] * n_cores
 
     # -- ready-time estimation ----------------------------------------------------
-    def _seconds(self, j: int, cycles: float) -> float:
-        return cycles * self._tables[j].time(self._tables[j].max_rate)
-
     def _ready_in(self, j: int, view: CoreView, kind: TaskKind) -> float:
         interactive_ahead = view.interactive_backlog_cycles
         if view.running_kind is TaskKind.INTERACTIVE:
             interactive_ahead += view.running_remaining_cycles
         if kind is TaskKind.INTERACTIVE:
             # would preempt NI work; waits only for interactive tasks ahead
-            return self._seconds(j, interactive_ahead)
+            return interactive_ahead * self._time_at_max[j]
         committed = interactive_ahead + view.preempted_remaining_cycles
         if view.running_kind is TaskKind.NONINTERACTIVE:
             committed += view.running_remaining_cycles
-        committed += sum(t.cycles for t in self._queues[j])
-        return self._seconds(j, committed)
+        queued = self._queued_cycles[j]
+        if queued is None:
+            queued = self._queued_cycles[j] = sum(t.cycles for t in self._queues[j])
+        committed += queued
+        return committed * self._time_at_max[j]
 
     # -- OnlinePolicy protocol -------------------------------------------------------
     def select_core(self, task: Task, views: Sequence[CoreView]) -> int:
@@ -98,11 +105,15 @@ class OLBOnlineScheduler:
     def enqueue_noninteractive(self, core: int, task: Task) -> None:
         """Append to the core's FIFO queue (same-priority tasks run FIFO)."""
         self._queues[core].append(task)
+        self._queued_cycles[core] = None
 
     def dequeue_noninteractive(self, core: int) -> Optional[Task]:
         """Pop the core's FIFO head, if any."""
         q = self._queues[core]
-        return q.popleft() if q else None
+        if not q:
+            return None
+        self._queued_cycles[core] = None
+        return q.popleft()
 
     def rate_for_noninteractive(self, core: int, task: Task) -> Optional[float]:
         """The core's maximum rate — OLB always runs flat out."""

@@ -138,11 +138,15 @@ def run_batch(
     executions: dict[int, tuple[TaskExecution, float]] = {}  # core -> (exec, rate)
 
     now = 0.0
+    ideal = contention.is_ideal
 
     def busy_count() -> int:
         return sum(1 for c in cores.values() if c.busy)
 
     def refresh_co_runners() -> None:
+        # only a non-ideal contention model reads the co-runner count
+        if ideal:
+            return
         busy = busy_count()
         for c in cores.values():
             c.set_co_runners(max(0, busy - 1) if c.busy else busy, now)

@@ -2,7 +2,9 @@
 
 A :class:`Simulation` owns a clock and a priority queue of timestamped
 callbacks. Events at equal timestamps fire in schedule order (FIFO), so
-runs are fully deterministic. Callbacks may schedule further events and
+runs are fully deterministic: the heap holds ``(time, seq, handle)``
+tuples, so it orders by time and then by schedule sequence number, and
+compares them in C. Callbacks may schedule further events and
 may cancel previously scheduled ones via the returned handle.
 
 A run may also carry one pre-sorted *stream* of events (:meth:`Simulation.feed`),
@@ -28,11 +30,10 @@ T = TypeVar("T")
 class EventHandle:
     """Cancellation token for a scheduled event."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "label")
+    __slots__ = ("time", "callback", "cancelled", "label")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], None], label: str) -> None:
+    def __init__(self, time: float, callback: Callable[[], None], label: str) -> None:
         self.time = time
-        self.seq = seq
         self.callback: Optional[Callable[[], None]] = callback
         self.cancelled = False
         self.label = label
@@ -40,9 +41,6 @@ class EventHandle:
     def cancel(self) -> None:
         self.cancelled = True
         self.callback = None  # free references early
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "cancelled" if self.cancelled else "pending"
@@ -62,7 +60,8 @@ class Simulation:
 
     def __init__(self, tracer=None) -> None:
         self.now = 0.0
-        self._queue: list[EventHandle] = []
+        # (time, seq, handle): seq is unique, so handles are never compared
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_fired = 0
         self._tracer = tracer
@@ -81,8 +80,10 @@ class Simulation:
             raise ValueError("event time is NaN")
         if time < self.now - STRICT_ABS_TOL:
             raise ValueError(f"cannot schedule in the past: t={time} < now={self.now}")
-        handle = EventHandle(max(time, self.now), next(self._seq), callback, label)
-        heapq.heappush(self._queue, handle)
+        time = max(time, self.now)
+        seq = next(self._seq)
+        handle = EventHandle(time, callback, label)
+        heapq.heappush(self._queue, (time, seq, handle))
         return handle
 
     def after(self, delay: float, callback: Callable[[], None], label: str = "") -> EventHandle:
@@ -138,7 +139,7 @@ class Simulation:
         fired = False
         while True:
             times, pos = self._stream_times, self._stream_pos
-            if pos < len(times) and (not queue or times[pos] <= queue[0].time):
+            if pos < len(times) and (not queue or times[pos] <= queue[0][0]):
                 time = times[pos]
                 if time > until:
                     break
@@ -146,8 +147,7 @@ class Simulation:
                 callback: Optional[Callable[[], None]] = None
                 label = self._stream_label
             elif queue:
-                head = queue[0]
-                time = head.time
+                time, _, head = queue[0]
                 if time > until:
                     break
                 heapq.heappop(queue)
@@ -180,7 +180,7 @@ class Simulation:
     def pending(self) -> int:
         """Number of not-yet-cancelled queued events, unfired stream
         events included."""
-        queued = sum(1 for h in self._queue if not h.cancelled)
+        queued = sum(1 for _, _, h in self._queue if not h.cancelled)
         return queued + len(self._stream_times) - self._stream_pos
 
     @property

@@ -61,7 +61,8 @@ class PowerMeter:
 
     def record_busy(self, start: float, end: float, watts: float) -> None:
         """Book a busy interval at ``watts`` (net of the idle floor)."""
-        self._check_interval(start, end)
+        if not start <= end:  # also true for NaN bounds
+            self._check_interval(start, end)
         if watts < 0:
             raise ValueError("power must be non-negative")
         if end == start:
@@ -73,7 +74,8 @@ class PowerMeter:
 
     def record_idle(self, start: float, end: float) -> None:
         """Book an idle interval at the idle floor."""
-        self._check_interval(start, end)
+        if not start <= end:
+            self._check_interval(start, end)
         if end == start:
             return
         self.idle_joules += self.idle_power * (end - start)
@@ -83,6 +85,7 @@ class PowerMeter:
 
     @staticmethod
     def _check_interval(start: float, end: float) -> None:
+        """Raise for the interval that failed ``start <= end``."""
         if math.isnan(start) or math.isnan(end):
             raise ValueError("interval bounds are NaN")
         if end < start:

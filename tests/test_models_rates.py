@@ -1,5 +1,8 @@
 """Tests for the processing-rate model (Section II-B)."""
 
+import math
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -28,6 +31,12 @@ class TestRateTableValidation:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             RateTable([0.0, 1.0], [1.0, 2.0])
+
+    def test_rejects_nan_rate(self):
+        with pytest.raises(ValueError, match="positive"):
+            RateTable([math.nan], [1.0])
+        with pytest.raises(ValueError, match="positive"):
+            RateTable([1.0, math.nan], [1.0, 2.0], [1.0, 0.5])
 
     def test_rejects_duplicate_rates(self):
         with pytest.raises(ValueError):
@@ -133,6 +142,60 @@ class TestPresets:
             rate_table_from_power_law([1.0], dynamic_coefficient=0.0)
         with pytest.raises(ValueError):
             rate_table_from_power_law([1.0], static_power=-1.0)
+
+
+class TestIndexLookup:
+    """``index_of`` is an exact-match lookup, with one error for a miss."""
+
+    @pytest.mark.parametrize("rate", [
+        1.7,  # absent
+        math.nan,
+        math.nextafter(3.0, math.inf),  # one ulp above a rate
+        math.nextafter(1.6, 0.0),  # one ulp below a rate
+    ])
+    def test_miss_raises_key_error_naming_the_table(self, rate):
+        with pytest.raises(KeyError) as err:
+            TABLE_II.index_of(rate)
+        assert err.value.args == (f"rate {rate!r} not in table {TABLE_II.rates}",)
+        assert rate not in TABLE_II
+        with pytest.raises(KeyError):
+            TABLE_II.time(rate)
+
+    def test_equal_number_of_another_type_is_found(self):
+        assert TABLE_II.index_of(3) == 4
+        assert TABLE_II.time(3) == TABLE_II.time(3.0)
+        assert 2 in TABLE_II
+
+    def test_every_rate_maps_to_its_position(self):
+        for table in (TABLE_II, I7_950, EXYNOS_4412):
+            assert [table.index_of(p) for p in table.rates] == list(range(len(table)))
+
+    def test_equal_tables_compare_and_hash_equal(self):
+        from repro.core.dominating import ranges_key
+        from repro.models.cost import CostModel
+
+        a = RateTable([3.0, 1.6], [7.1, 3.375], [0.33, 0.625], name="x")
+        b = RateTable([1.6, 3.0], [3.375, 7.1], [0.625, 0.33], name="x")
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != RateTable([1.6, 3.0], [3.375, 7.2], [0.625, 0.33], name="x")
+        assert ranges_key(CostModel(a, 0.4, 0.1)) == ranges_key(CostModel(b, 0.4, 0.1))
+
+    def test_pickle_round_trip(self):
+        for table in (TABLE_II, I7_950):
+            copy = pickle.loads(pickle.dumps(table))
+            assert copy == table and hash(copy) == hash(table)
+            assert [copy.index_of(p) for p in copy.rates] == list(range(len(copy)))
+            with pytest.raises(KeyError):
+                copy.index_of(0.5)
+
+    def test_sim_core_rejects_a_rate_not_in_its_table(self):
+        from repro.simulator.platform import SimCore
+
+        core = SimCore(0, TABLE_II)
+        with pytest.raises(KeyError):
+            core.rate = 2.5
+        assert core.rate == TABLE_II.min_rate
 
 
 class TestRateTableProperties:

@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulation core."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,3 +150,62 @@ class TestPropertyBased:
         assert fired == sorted(fired)
         assert sorted(t for t, _ in fired) == sorted(times)
         assert sim.events_fired == len(times)
+
+
+class TestRandomizedSchedule:
+    """Random ``at``/``feed``/``cancel`` runs checked against bookkeeping
+    the test keeps itself."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fire_order_cancels_and_pending(self, seed):
+        rng = random.Random(seed)
+        sim = Simulation()
+        fired = []  # (time, source, order), source 0 = stream, 1 = heap
+        live = {}  # order -> handle of a scheduled, uncancelled, unfired event
+        cancelled = set()
+        scheduled = []
+
+        def schedule(time):
+            k = len(scheduled)
+            scheduled.append(k)
+            live[k] = sim.at(time, lambda k=k: on_event(k))
+
+        def on_event(k):
+            fired.append((sim.now, 1, k))
+            del live[k]
+            react()
+
+        def react():
+            # small integer delays make equal timestamps common
+            for _ in range(rng.randrange(3)):
+                schedule(sim.now + rng.randrange(3))
+            if live and rng.random() < 0.3:
+                k = rng.choice(sorted(live))
+                live.pop(k).cancel()
+                cancelled.add(k)
+
+        def on_arrival(k):
+            fired.append((sim.now, 0, k))
+            react()
+
+        stream = sorted(rng.randrange(20) for _ in range(30))
+        for _ in range(20):
+            schedule(float(rng.randrange(20)))
+        sim.feed([float(t) for t in stream], range(-len(stream), 0), on_arrival)
+        streamed = len(stream)
+        assert sim.pending == len(live) + streamed
+        while sim.step():
+            streamed = len(stream) - sum(1 for _, src, _ in fired if src == 0)
+            assert sim.pending == len(live) + streamed
+
+        assert not live and sim.pending == 0
+        # time order; at one instant the stream first, then the heap in
+        # schedule order
+        assert fired == sorted(fired)
+        heap_fired = [k for _, src, k in fired if src == 1]
+        assert not cancelled & set(heap_fired)
+        assert len(heap_fired) == len(set(heap_fired))
+        assert len(heap_fired) + len(cancelled) == len(scheduled)
+        assert [k for _, src, k in fired if src == 0] == list(range(-len(stream), 0))
+        assert sim.events_fired == len(fired)
+        assert cancelled  # the run exercised cancellation
